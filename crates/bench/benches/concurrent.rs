@@ -1,21 +1,23 @@
 //! Multi-producer ingest throughput: the single-lock baseline vs the two
 //! concurrency paths this crate actually recommends.
 //!
-//! * `rwlock_ms` — `SharedSketch::new` (one shard, one `RwLock`): every
+//! * `rwlock_ms` — a one-shard [`ShardedSketch`] (one `RwLock`): every
 //!   insert serialises on the same lock, so adding producers adds only
 //!   contention.
 //! * `atomic_ms` — [`AtomicMsSbf`]: Minimum Selection increments commute,
 //!   so producers do lock-free relaxed `fetch_add`s and scale with cores.
-//! * `sharded_mi` / `sharded_rm` — [`SharedSketch::with_shards`]: MI/RM
+//! * `sharded_mi` / `sharded_rm` — [`ShardedSketch::with_shards`]: MI/RM
 //!   inserts are read-modify-write and need a lock, but hash-partitioned
 //!   shards (2× the producer count) make collisions on any one lock rare,
 //!   and `insert_batch` takes each shard lock once per batch.
 //!
 //! Producer counts sweep 1/2/4/8 over the same 200k-key zipf stream.
 
+use std::sync::Arc;
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sbf_workloads::ZipfWorkload;
-use spectral_bloom::{AtomicMsSbf, DefaultFamily, MiSbf, MsSbf, RmSbf, SharedSketch};
+use spectral_bloom::{AtomicMsSbf, DefaultFamily, MiSbf, MsSbf, RmSbf, ShardedSketch};
 
 const M: usize = 1 << 16;
 const K: usize = 5;
@@ -41,10 +43,10 @@ fn bench_concurrent_ingest(c: &mut Criterion) {
             &producers,
             |b, &producers| {
                 b.iter(|| {
-                    let shared = SharedSketch::new(MsSbf::new(M, K, SEED));
+                    let shared = Arc::new(ShardedSketch::from_shards(vec![MsSbf::new(M, K, SEED)]));
                     std::thread::scope(|scope| {
                         for chunk in chunks(stream, producers) {
-                            let h = shared.clone();
+                            let h = Arc::clone(&shared);
                             scope.spawn(move || {
                                 for key in chunk {
                                     h.insert(key);
@@ -83,11 +85,12 @@ fn bench_concurrent_ingest(c: &mut Criterion) {
             &producers,
             |b, &producers| {
                 b.iter(|| {
-                    let shared =
-                        SharedSketch::with_shards(2 * producers, |_| MiSbf::new(M, K, SEED));
+                    let shared = Arc::new(ShardedSketch::with_shards(2 * producers, |_| {
+                        MiSbf::new(M, K, SEED)
+                    }));
                     std::thread::scope(|scope| {
                         for chunk in chunks(stream, producers) {
-                            let h = shared.clone();
+                            let h = Arc::clone(&shared);
                             scope.spawn(move || {
                                 for batch in chunk.chunks(BATCH) {
                                     h.insert_batch(batch);
@@ -105,11 +108,12 @@ fn bench_concurrent_ingest(c: &mut Criterion) {
             &producers,
             |b, &producers| {
                 b.iter(|| {
-                    let shared =
-                        SharedSketch::with_shards(2 * producers, |_| RmSbf::new(M, K, SEED));
+                    let shared = Arc::new(ShardedSketch::with_shards(2 * producers, |_| {
+                        RmSbf::new(M, K, SEED)
+                    }));
                     std::thread::scope(|scope| {
                         for chunk in chunks(stream, producers) {
-                            let h = shared.clone();
+                            let h = Arc::clone(&shared);
                             scope.spawn(move || {
                                 for batch in chunk.chunks(BATCH) {
                                     h.insert_batch(batch);
@@ -128,7 +132,7 @@ fn bench_concurrent_ingest(c: &mut Criterion) {
     // artifact (shard gauges, op counters) next to the Criterion output.
     sbf_telemetry::set_enabled(true);
     let _ = spectral_bloom::core_metrics();
-    let shared = SharedSketch::with_shards(4, |_| RmSbf::new(M, K, SEED));
+    let shared = ShardedSketch::with_shards(4, |_| RmSbf::new(M, K, SEED));
     for batch in stream.chunks(BATCH) {
         shared.insert_batch(batch);
     }

@@ -484,10 +484,8 @@ pub fn merge_envelopes(envelopes: &[FilterEnvelope]) -> Result<FilterEnvelope, C
 }
 
 /// Renders `info` for an envelope, including what the counter vector
-/// would cost per counter under each replica encoding (`raw` `u64` words,
-/// the §4 String-Array Index, the §4.5 Elias-δ compact array) — the same
-/// figures `sbfd` publishes as `sbfd_compressed_bytes_per_counter` and the
-/// `compressed_frontier` bench records.
+/// would cost per counter in each storage layout: `raw` `u64` words, the
+/// §4 String-Array Index and the §4.5 Elias-δ compact array.
 pub fn info_string(env: &FilterEnvelope) -> String {
     let m = env.counters.len();
     let nonzero = env.counters.iter().filter(|&&c| c > 0).count();
@@ -712,23 +710,6 @@ fn run_serve(mut args: Vec<String>, stdout: &mut impl Write) -> Result<String, C
     // to the sbfd at this address before the client sees Ok.
     if let Some(replica) = take_flag(&mut args, "--replicate-to") {
         builder = builder.replicate_to(replica);
-    }
-    // Compressed read replica: ESTIMATEs are served from an immutable
-    // SAI/Elias-encoded copy of the sketch while it is fresh, rebuilt in
-    // the background every --replica-rebuild-ms once writes stale it.
-    if let Some(enc) = take_flag(&mut args, "--compressed-replica") {
-        let encoding = sbf_server::ReplicaEncoding::parse(&enc).ok_or_else(|| {
-            CliError::Usage(format!(
-                "unknown --compressed-replica {enc} (raw|sai|elias)"
-            ))
-        })?;
-        builder = builder
-            .compressed_replica(encoding)
-            .replica_rebuild_interval(std::time::Duration::from_millis(num(
-                &mut args,
-                "--replica-rebuild-ms",
-                100u64,
-            )?));
     }
     if !args.is_empty() {
         return Err(CliError::Usage(format!("unrecognized arguments: {args:?}")));
@@ -1192,8 +1173,6 @@ pub const USAGE: &str =
         [--max-frame 1048576]       reactor knobs: capacity, wait bound, batch, frame cap\n\
         [--wal-dir <dir>] [--wal-compact-ratio 4] [--wal-compact-min-bytes 1048576]\n\
         [--wal-checkpoint-secs 60]          durable mode: fsynced log + crash recovery\n\
-        [--compressed-replica raw|sai|elias] [--replica-rebuild-ms 100]\n\
-                    serve ESTIMATE from an immutable compressed replica while fresh\n\
         [--replicate-to <host:port>]   ship every acknowledged mutation to a replica\n\
                     sbfd before answering Ok (semi-synchronous; failover-safe reads)\n\
   client --addr <host:port> <ping|insert|remove|estimate|merge|snapshot|stats|shutdown>\n\
@@ -1390,7 +1369,7 @@ mod tests {
         assert!(info.contains("m: 4096"));
         assert!(info.contains("k: 5"));
         assert!(info.contains("≈ 2 insertions"));
-        // The storage frontier line names every replica encoding with its
+        // The storage line names every counter layout with its
         // per-counter cost; on a nearly-empty filter the compressed forms
         // must undercut raw's 8 bytes.
         let line = info
@@ -1572,10 +1551,6 @@ mod tests {
                     "50",
                     "--pipeline-depth",
                     "16",
-                    "--compressed-replica",
-                    "sai",
-                    "--replica-rebuild-ms",
-                    "20",
                 ]
                 .map(String::from)
                 .to_vec(),
@@ -1635,13 +1610,6 @@ mod tests {
             "",
         );
         assert!(stats.contains("sbfd_connections_total"), "{stats}");
-        // --compressed-replica was passed: the replica metrics must be in
-        // the schema and at least the initial build must have run.
-        assert!(stats.contains("sbfd_compressed_rebuilds_total"), "{stats}");
-        assert!(
-            stats.contains("sbfd_estimates_served_compressed_total"),
-            "{stats}"
-        );
 
         let dir = std::env::temp_dir().join(format!("sbf-cli-serve-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1712,7 +1680,6 @@ mod tests {
             ["--poll-timeout-ms", "0"],
             ["--timeout-secs", "0"],
             ["--max-frame", "0"],
-            ["--compressed-replica", "zstd"],
         ] {
             let argv: Vec<String> = ["serve", "--addr", "127.0.0.1:0", flags[0], flags[1]]
                 .map(String::from)

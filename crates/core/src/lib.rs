@@ -21,7 +21,7 @@
 //!
 //! All algorithms implement [`MultisetSketch`] (updates) over the
 //! [`SketchReader`] query supertrait — which the concurrent backends
-//! [`AtomicMsSbf`], [`ShardedSketch`] and [`SharedSketch`] also implement —
+//! [`AtomicMsSbf`] and [`ShardedSketch`] also implement —
 //! and are generic over the hash family (`sbf-hash`) and over the counter
 //! storage: [`PlainCounters`] (one word per counter, fastest) or
 //! [`CompressedCounters`] (the §4 String-Array-Index representation at
@@ -62,7 +62,6 @@
 pub mod aggregate;
 pub mod atomic_store;
 pub mod bloom;
-pub mod concurrent;
 pub mod core_ops;
 pub mod estimator;
 pub mod iceberg;
@@ -84,7 +83,6 @@ pub mod window;
 
 pub use atomic_store::{AtomicCounters, AtomicMsSbf, BlockedAtomicMsSbf, ConcurrentCounterStore};
 pub use bloom::BloomFilter;
-pub use concurrent::SharedSketch;
 pub use core_ops::{SbfCore, PIPELINE_DEPTH};
 pub use estimator::{median_of_means_estimate, rm_combined_estimate, unbiased_estimate};
 pub use iceberg::{

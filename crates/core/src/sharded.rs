@@ -224,34 +224,6 @@ impl<SK> ShardedSketch<SK> {
         let guard = lock_unpoisoned(self.shards[i].read());
         f(&guard)
     }
-
-    /// The per-shard mutation stamps, read with `Acquire` — the raw
-    /// material of the [`ShardedSketch::snapshot_cached`] staleness
-    /// protocol, exposed so external caches (e.g. a compressed read
-    /// replica) can run the same check. Capture the stamps *before*
-    /// reading shard data, then later compare with
-    /// [`ShardedSketch::versions_match`]: a racing writer can at worst
-    /// make fresh data look stale (one spurious rebuild), never the
-    /// reverse.
-    pub fn version_stamps(&self) -> Vec<u64> {
-        self.versions
-            .iter()
-            .map(|v| v.load(Ordering::Acquire))
-            .collect()
-    }
-
-    /// Whether no shard has mutated since `stamps` was captured by
-    /// [`ShardedSketch::version_stamps`]. `false` for stamp vectors of the
-    /// wrong length (a cache built against a different sketch is stale by
-    /// definition).
-    pub fn versions_match(&self, stamps: &[u64]) -> bool {
-        stamps.len() == self.versions.len()
-            && self
-                .versions
-                .iter()
-                .zip(stamps)
-                .all(|(v, &s)| v.load(Ordering::Acquire) == s)
-    }
 }
 
 /// Sharded blocked variant: combines the per-shard locking of

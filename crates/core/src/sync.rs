@@ -2,13 +2,13 @@
 //! code binds to either `std::sync` or the in-workspace model checker.
 //!
 //! Every atomic, mutex and rwlock used by the lock-free layer
-//! ([`crate::atomic_store`], [`crate::sharded`], [`crate::concurrent`],
-//! [`crate::metrics`]) is imported from here, never from `std::sync`
-//! directly (enforced by the repo's `static_guards` test). Normal builds
-//! re-export `std` types with zero overhead; under
-//! `RUSTFLAGS='--cfg sbf_modelcheck'` the same paths resolve to
-//! `sbf-modelcheck`'s model types, so the exhaustive interleaving tests in
-//! `tests/modelcheck_suite.rs` exercise the exact production code.
+//! ([`crate::atomic_store`], [`crate::sharded`], [`crate::metrics`]) is
+//! imported from here, never from `std::sync` directly (enforced by
+//! `sbf-lint`'s sync-facade pass). Normal builds re-export `std` types
+//! with zero overhead; under `RUSTFLAGS='--cfg sbf_modelcheck'` the same
+//! paths resolve to `sbf-modelcheck`'s model types, so the exhaustive
+//! interleaving tests in `tests/modelcheck_suite.rs` exercise the exact
+//! production code.
 
 #[cfg(not(sbf_modelcheck))]
 pub use std::sync::{Arc, Mutex, OnceLock, RwLock};

@@ -5,9 +5,9 @@
 //! once an insert has returned, every later estimate of that key must be at
 //! least as large as the key's completed-insert count.
 
-use spectral_bloom::{
-    AtomicMsSbf, MiSbf, MsSbf, RemoveError, RmSbf, ShardedSketch, SharedSketch, SketchReader,
-};
+use std::sync::Arc;
+
+use spectral_bloom::{AtomicMsSbf, MiSbf, MsSbf, RemoveError, RmSbf, ShardedSketch, SketchReader};
 
 /// Lock-free MS never undercounts: with 8 producers hammering overlapping
 /// keys, every completed insert is visible in the final estimate.
@@ -143,16 +143,25 @@ fn atomic_remove_saturating_clamps_at_zero() {
     assert_eq!(sbf.total_count(), 0);
 }
 
-/// `SharedSketch` over MI shards: batch ingest from several threads keeps
-/// the one-sided bound and the exact global total.
+/// An `Arc`-shared sketch over MI shards: batch ingest from several
+/// threads keeps the one-sided bound and the exact global total, and a
+/// reader running alongside never sees an earlier insert disappear.
 #[test]
 fn shared_mi_batches_stay_one_sided() {
-    let shared = SharedSketch::with_shards(4, |_| MiSbf::new(1 << 14, 5, 9));
+    let shared = Arc::new(ShardedSketch::with_shards(4, |_| MiSbf::new(1 << 14, 5, 9)));
     const THREADS: u64 = 4;
     const PER_THREAD: u64 = 2000;
+    const RESIDENT: u64 = 1 << 40;
+    shared.insert_by(&RESIDENT, 3);
     std::thread::scope(|scope| {
+        let r = Arc::clone(&shared);
+        scope.spawn(move || {
+            for _ in 0..500 {
+                assert!(r.estimate(&RESIDENT) >= 3);
+            }
+        });
         for t in 0..THREADS {
-            let h = shared.clone();
+            let h = Arc::clone(&shared);
             scope.spawn(move || {
                 let keys: Vec<u64> = (0..PER_THREAD).map(|i| i % 100).collect();
                 let _ = t;
@@ -160,7 +169,7 @@ fn shared_mi_batches_stay_one_sided() {
             });
         }
     });
-    assert_eq!(shared.total_count(), THREADS * PER_THREAD);
+    assert_eq!(shared.total_count(), THREADS * PER_THREAD + 3);
     for key in 0u64..100 {
         assert!(
             shared.estimate(&key) >= THREADS * PER_THREAD / 100,

@@ -98,7 +98,7 @@ fn exact_groups(r: &Relation, s: &Relation, threshold: Option<u64>) -> HashMap<u
 ///
 /// Accepting any reader means the coordinator-side synopsis can just as
 /// well be a concurrent backend — an `AtomicMsSbf` fed by parallel ingest
-/// threads, or a `ShardedSketch`/`SharedSketch` — without a copy into a
+/// threads, or a `ShardedSketch` — without a copy into a
 /// single-threaded sketch first.
 pub fn threshold_groups<SK: SketchReader>(
     sketch: &SK,

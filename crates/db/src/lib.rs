@@ -35,7 +35,6 @@
 pub mod bifocal;
 pub mod cache;
 pub mod diff_file;
-pub mod distributed;
 pub mod framing;
 pub mod hashtable;
 pub mod join;
@@ -48,7 +47,6 @@ pub mod wire;
 pub use bifocal::{bifocal_estimate, exact_join_size, BifocalConfig};
 pub use cache::{AttenuatedFilter, CacheNode, SbfCacheNode, SummaryCacheCluster};
 pub use diff_file::GuardedStore;
-pub use distributed::{build_global_synopsis, GlobalSynopsis, PartitionedRelation};
 pub use framing::{EncodeError, WireEncode};
 pub use hashtable::ChainedHashTable;
 pub use join::{

@@ -53,7 +53,6 @@ pub mod pool;
 pub mod proto;
 mod reactor;
 pub mod recovery;
-pub mod replica;
 pub mod server;
 pub(crate) mod sync;
 pub mod wal;
@@ -62,7 +61,6 @@ pub use client::{ClientBuilder, ClientError, SbfClient};
 pub use cluster::{ClusterClient, ClusterError, ClusterTopology, NodeSpec, Replicator};
 pub use proto::{ErrorCode, ProtoError, Request, Response, MAX_FRAME_DEFAULT};
 pub use recovery::{RecoveryError, RecoveryReport, WalInspection};
-pub use replica::{CompressedReplica, ReplicaEncoding};
 pub use server::{
     ConfigError, SbfServer, ServerConfig, ServerConfigBuilder, ServerHandle, SharedState,
 };

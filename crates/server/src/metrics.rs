@@ -30,9 +30,6 @@
 //! | `sbfd_pipeline_batches_total` | counter | worker jobs dispatched (one per pipelined batch) |
 //! | `sbfd_pipeline_frames_total` | counter | frames carried by those batches (`frames / batches` = achieved pipelining depth) |
 //! | `sbfd_backpressure_stalls_total` | counter | reads paused (queue or write buffer full) and listener parks (connection cap) |
-//! | `sbfd_compressed_rebuilds_total` | counter | compressed read-replica rebuilds (initial build included) |
-//! | `sbfd_compressed_bytes_per_counter` | gauge | storage cost of the current replica, bytes per counter (indexes included) |
-//! | `sbfd_estimates_served_compressed_total` | counter | keys answered from the compressed replica instead of the live sketch |
 //! | `sbfd_cluster_fanout_nodes` | histogram | nodes touched per scatter-gather batch |
 //! | `sbfd_cluster_failovers_total` | counter | reads redirected from a dead primary to its replica |
 //! | `sbfd_cluster_join_bytes_total` | counter | filter-envelope bytes shipped between servers for JOIN_PLAN |
@@ -104,12 +101,6 @@ pub struct ServerMetrics {
     pub pipeline_frames: Arc<Counter>,
     /// `sbfd_backpressure_stalls_total`.
     pub backpressure_stalls: Arc<Counter>,
-    /// `sbfd_compressed_rebuilds_total`.
-    pub compressed_rebuilds: Arc<Counter>,
-    /// `sbfd_compressed_bytes_per_counter`.
-    pub compressed_bytes_per_counter: Arc<Gauge>,
-    /// `sbfd_estimates_served_compressed_total`.
-    pub estimates_served_compressed: Arc<Counter>,
     /// `sbfd_cluster_fanout_nodes`.
     pub cluster_fanout: Arc<Histogram>,
     /// `sbfd_cluster_failovers_total`.
@@ -166,9 +157,6 @@ pub fn server_metrics() -> &'static ServerMetrics {
             pipeline_batches: reg.counter("sbfd_pipeline_batches_total"),
             pipeline_frames: reg.counter("sbfd_pipeline_frames_total"),
             backpressure_stalls: reg.counter("sbfd_backpressure_stalls_total"),
-            compressed_rebuilds: reg.counter("sbfd_compressed_rebuilds_total"),
-            compressed_bytes_per_counter: reg.gauge("sbfd_compressed_bytes_per_counter"),
-            estimates_served_compressed: reg.counter("sbfd_estimates_served_compressed_total"),
             cluster_fanout: reg.histogram("sbfd_cluster_fanout_nodes"),
             cluster_failovers: reg.counter("sbfd_cluster_failovers_total"),
             cluster_join_bytes: reg.counter("sbfd_cluster_join_bytes_total"),

@@ -37,7 +37,6 @@ use crate::pool::WorkerPool;
 use crate::proto::{self, ErrorCode, Request, Response, MAX_FRAME_DEFAULT};
 use crate::reactor::{Reactor, ReactorConfig, Waker};
 use crate::recovery::{self, RecoveryError, RecoveryReport};
-use crate::replica::{CompressedReplica, ReplicaEncoding};
 use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use crate::sync::{lock_unpoisoned, Arc, OnceLock, RwLock};
 use crate::wal::{self, Wal};
@@ -104,16 +103,6 @@ pub struct ServerConfig {
     /// per-connection parsed-frame queue depth beyond which the reactor
     /// stops reading that socket (backpressure).
     pub pipeline_depth: usize,
-    /// Serve ESTIMATE from an immutable compressed replica of the live
-    /// sketch when `Some`: the replica is rebuilt in the background under
-    /// this encoding and answers only while its shard version stamps are
-    /// current (stale stamp ⇒ live-sketch fallback + rebuild, never a
-    /// stale hit — see [`crate::replica`]). `None` disables the replica.
-    pub compressed_replica: Option<ReplicaEncoding>,
-    /// How often the background rebuilder re-encodes a stale replica.
-    /// Writes arriving faster than this cadence keep queries on the live
-    /// sketch; pauses longer than it let reads migrate to the replica.
-    pub replica_rebuild_interval: Duration,
     /// Address of a replica `sbfd` to stream mutations to. `Some` makes
     /// every acknowledged mutation semi-synchronously replicated: the
     /// primary ships the mutation's wire frame to the replica *inside*
@@ -146,8 +135,6 @@ impl Default for ServerConfig {
             max_connections: 4096,
             poll_timeout: Duration::from_millis(100),
             pipeline_depth: 32,
-            compressed_replica: None,
-            replica_rebuild_interval: Duration::from_millis(100),
             replicate_to: None,
         }
     }
@@ -183,9 +170,6 @@ impl ServerConfig {
         if self.max_frame == 0 {
             return Err(ConfigError::ZeroMaxFrame);
         }
-        if self.compressed_replica.is_some() && self.replica_rebuild_interval == Duration::ZERO {
-            return Err(ConfigError::ZeroReplicaInterval);
-        }
         Ok(())
     }
 
@@ -203,7 +187,7 @@ impl ServerConfig {
 
 /// A configuration the server refuses to start with. Timeouts of zero
 /// would mark every connection dead on arrival; zero capacities would
-/// serve nothing — all five are caller bugs worth naming, not values to
+/// serve nothing — all six are caller bugs worth naming, not values to
 /// silently clamp.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
@@ -220,9 +204,6 @@ pub enum ConfigError {
     ZeroPollTimeout,
     /// `max_frame` was zero — every frame would be refused as oversized.
     ZeroMaxFrame,
-    /// `replica_rebuild_interval` was zero with the compressed replica
-    /// enabled — the rebuilder would spin hot re-encoding the filter.
-    ZeroReplicaInterval,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -241,9 +222,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroPipelineDepth => write!(f, "pipeline_depth must be at least 1"),
             ConfigError::ZeroPollTimeout => write!(f, "poll_timeout must be nonzero"),
             ConfigError::ZeroMaxFrame => write!(f, "max_frame must be at least 1"),
-            ConfigError::ZeroReplicaInterval => {
-                write!(f, "replica_rebuild_interval must be nonzero")
-            }
         }
     }
 }
@@ -363,20 +341,6 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Serve ESTIMATE from a compressed read replica under `encoding`
-    /// (see [`ServerConfig::compressed_replica`]).
-    pub fn compressed_replica(mut self, encoding: ReplicaEncoding) -> Self {
-        self.cfg.compressed_replica = Some(encoding);
-        self
-    }
-
-    /// Background replica re-encode cadence (see
-    /// [`ServerConfig::replica_rebuild_interval`]).
-    pub fn replica_rebuild_interval(mut self, interval: Duration) -> Self {
-        self.cfg.replica_rebuild_interval = interval;
-        self
-    }
-
     /// Stream every acknowledged mutation to the replica `sbfd` at
     /// `addr` (see [`ServerConfig::replicate_to`]).
     pub fn replicate_to(mut self, addr: impl Into<String>) -> Self {
@@ -427,13 +391,6 @@ pub struct SharedState {
     /// Client-shipped §5 union mass (see the module docs for why this is
     /// a separate whole-range filter).
     remote: RwLock<MsSbf>,
-    /// Encoding of the compressed read replica; `None` disables it.
-    replica_encoding: Option<ReplicaEncoding>,
-    /// The current compressed replica, swapped whole by the rebuilder.
-    /// `None` until the first build completes. Readers clone the `Arc`
-    /// under the read lock, then check freshness *outside* it — the swap
-    /// never blocks estimates for the duration of a re-encode.
-    replica: RwLock<Option<Arc<CompressedReplica>>>,
     /// Set once by SHUTDOWN (or [`ServerHandle::shutdown`]); never cleared.
     shutdown: AtomicBool,
     /// Crash-simulation flag: drain skips the final checkpoint/snapshot
@@ -466,8 +423,6 @@ impl SharedState {
                 MsSbf::new(m, k, config.seed)
             }),
             remote: RwLock::new(MsSbf::new(m, k, config.seed)),
-            replica_encoding: config.compressed_replica,
-            replica: RwLock::new(None),
             shutdown: AtomicBool::new(false),
             crash: AtomicBool::new(false),
             active: AtomicUsize::new(0),
@@ -575,66 +530,11 @@ impl SharedState {
         metrics::on(|m| m.connections_active.set_u64(now as u64));
     }
 
-    /// One-sided estimate across both filters (see the module docs). The
-    /// live term comes from the compressed replica when one is enabled and
-    /// fresh: a fresh replica is the §5 union of the shards, which
-    /// dominates the shard-routed estimate — answers stay one-sided, at
-    /// worst looser by cross-shard collision noise (exactly SNAPSHOT's
-    /// semantics; see [`crate::replica`]).
+    /// One-sided estimate across both filters (see the module docs).
     fn estimate_one(&self, key: &[u8]) -> u64 {
-        let live = match self.fresh_replica() {
-            Some(rep) => {
-                metrics::on(|m| m.estimates_served_compressed.inc());
-                rep.estimate(key)
-            }
-            None => self.sketch.estimate(key),
-        };
+        let live = self.sketch.estimate(key);
         let remote = lock_unpoisoned(self.remote.read()).estimate(key);
         live.saturating_add(remote)
-    }
-
-    /// The current replica, iff it exists and its version stamps still
-    /// match the live sketch. The freshness check runs after cloning the
-    /// `Arc` out of the lock: a writer landing after the check makes the
-    /// answer equivalent to an estimate served just before that write —
-    /// the same linearization any read racing a write gets.
-    fn fresh_replica(&self) -> Option<Arc<CompressedReplica>> {
-        self.replica_encoding?;
-        let rep = lock_unpoisoned(self.replica.read())
-            .as_ref()
-            .map(Arc::clone)?;
-        rep.is_fresh(&self.sketch).then_some(rep)
-    }
-
-    /// Re-encodes the replica if it is missing or stale; no-op (returning
-    /// `false`) when the replica is disabled or still fresh. Called by the
-    /// background rebuilder on its cadence and by tests that need a
-    /// deterministic swap.
-    pub fn rebuild_replica(&self) -> bool {
-        let Some(encoding) = self.replica_encoding else {
-            return false;
-        };
-        if self.fresh_replica().is_some() {
-            return true;
-        }
-        let rep = Arc::new(CompressedReplica::build(
-            &self.sketch,
-            self.k,
-            self.seed,
-            encoding,
-        ));
-        metrics::on(|m| {
-            m.compressed_rebuilds.inc();
-            m.compressed_bytes_per_counter.set(rep.bytes_per_counter());
-        });
-        *lock_unpoisoned(self.replica.write()) = Some(rep);
-        true
-    }
-
-    /// Whether a fresh compressed replica is currently answering
-    /// estimates (loopback tests assert the serving path directly).
-    pub fn replica_serving(&self) -> bool {
-        self.fresh_replica().is_some()
     }
 
     /// The §5 union of both filters — live shards plus the remote mass —
@@ -746,16 +646,7 @@ impl SharedState {
             Request::EstimateBatch { keys } => {
                 metrics::on(|m| m.batch_keys.add(keys.len() as u64));
                 let mut out = Vec::new();
-                // One freshness check covers the whole batch: the cloned
-                // replica serves every key as of the check instant, the
-                // same linearization a live batch racing a writer gets.
-                match self.fresh_replica() {
-                    Some(rep) => {
-                        metrics::on(|m| m.estimates_served_compressed.add(keys.len() as u64));
-                        out.extend(keys.iter().map(|key| rep.estimate(key)));
-                    }
-                    None => self.sketch.estimate_batch_into(keys, &mut out),
-                }
+                self.sketch.estimate_batch_into(keys, &mut out);
                 let remote = lock_unpoisoned(self.remote.read());
                 for (v, key) in out.iter_mut().zip(keys) {
                     *v = v.saturating_add(remote.estimate(key));
@@ -916,7 +807,6 @@ pub struct SbfServer {
     reactor_cfg: ReactorConfig,
     snapshot_path: Option<PathBuf>,
     checkpoint_interval: Option<Duration>,
-    replica_interval: Duration,
     recovery: Option<RecoveryReport>,
 }
 
@@ -943,9 +833,6 @@ impl SbfServer {
             let wal = Wal::open(dir, config.wal_compact_ratio, config.wal_compact_min_bytes)?;
             state.attach_wal(Arc::new(wal));
         }
-        // Initial replica build (post-recovery, pre-accept): the very
-        // first ESTIMATE can already be served compressed.
-        state.rebuild_replica();
         if let Some(target) = &config.replicate_to {
             state.attach_replicator(Arc::new(Replicator::new(target.clone())));
         }
@@ -956,7 +843,6 @@ impl SbfServer {
             reactor_cfg: config.reactor_config(),
             snapshot_path: config.snapshot_path,
             checkpoint_interval: config.wal_checkpoint_interval,
-            replica_interval: config.replica_rebuild_interval,
             recovery: report,
         })
     }
@@ -982,7 +868,6 @@ impl SbfServer {
     /// if a path was configured.
     pub fn run(self) -> io::Result<()> {
         let checkpointer = self.spawn_checkpointer()?;
-        let rebuilder = self.spawn_replica_rebuilder()?;
         let replication = self.spawn_replication()?;
         let mut pool = WorkerPool::new(self.workers);
         // The reactor owns the listener and every connection socket; the
@@ -1005,10 +890,6 @@ impl SbfServer {
         if let Some(t) = checkpointer {
             t.join()
                 .map_err(|_| io::Error::other("checkpoint thread panicked"))?;
-        }
-        if let Some(t) = rebuilder {
-            t.join()
-                .map_err(|_| io::Error::other("replica rebuild thread panicked"))?;
         }
         if let Some(t) = replication {
             t.join()
@@ -1053,33 +934,6 @@ impl SbfServer {
                     let interval_due = interval.is_some_and(|iv| last.elapsed() >= iv);
                     if interval_due || wal.wants_checkpoint() {
                         let _ = wal.checkpoint(|| state.snapshot_envelope());
-                        last = Instant::now();
-                    }
-                }
-            })?;
-        Ok(Some(thread))
-    }
-
-    /// Starts the background replica rebuilder when the compressed
-    /// replica is enabled: every `replica_rebuild_interval` it re-encodes
-    /// the replica iff some shard mutated since the last build (the
-    /// freshness check inside [`SharedState::rebuild_replica`] makes the
-    /// idle tick free). Same lifecycle as the WAL checkpointer: polls the
-    /// drain flag and exits with the drain.
-    fn spawn_replica_rebuilder(&self) -> io::Result<Option<std::thread::JoinHandle<()>>> {
-        if self.state.replica_encoding.is_none() {
-            return Ok(None);
-        }
-        let state = Arc::clone(&self.state);
-        let interval = self.replica_interval;
-        let thread = std::thread::Builder::new()
-            .name("sbfd-replica".into())
-            .spawn(move || {
-                let mut last = Instant::now();
-                while !state.draining() {
-                    std::thread::sleep(Duration::from_millis(10));
-                    if last.elapsed() >= interval {
-                        state.rebuild_replica();
                         last = Instant::now();
                     }
                 }
@@ -1391,103 +1245,6 @@ mod tests {
         let err = SbfServer::bind(cfg).expect_err("zero read timeout must refuse to bind");
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         assert!(err.to_string().contains("read_timeout"));
-    }
-
-    #[test]
-    fn compressed_replica_serves_fresh_and_falls_back_when_stale() {
-        let st = SharedState::new(&ServerConfig {
-            m: 1 << 12,
-            shards: 2,
-            compressed_replica: Some(ReplicaEncoding::Sai),
-            ..ServerConfig::default()
-        });
-        st.handle(&Request::Insert {
-            count: 4,
-            key: b"apple".to_vec(),
-        });
-        assert!(!st.replica_serving(), "no replica built yet");
-        assert!(st.rebuild_replica());
-        assert!(st.replica_serving());
-        match st.handle(&Request::Estimate {
-            key: b"apple".to_vec(),
-        }) {
-            Response::Value(v) => assert!(v >= 4, "replica answer must stay one-sided: {v}"),
-            other => panic!("unexpected response {other:?}"),
-        }
-        // Remote MERGE mass lands in the separate whole-range filter, so
-        // it is visible on top of a still-fresh replica.
-        let mut site_b = MsSbf::new(1 << 12, st.k, st.seed);
-        site_b.insert_by(&b"plum".as_slice(), 9);
-        let store = site_b.core().store();
-        let env = FilterEnvelope {
-            kind: FilterKind::MinimumSelection,
-            k: st.k as u32,
-            seed: st.seed,
-            counters: (0..1 << 12).map(|i| store.get(i)).collect(),
-        };
-        assert_eq!(
-            st.handle(&Request::Merge {
-                envelope: env.encode()
-            }),
-            Response::Ok
-        );
-        assert!(st.replica_serving(), "MERGE must not stale the replica");
-        match st.handle(&Request::Estimate {
-            key: b"plum".to_vec(),
-        }) {
-            Response::Value(v) => assert!(v >= 9, "replica ⊕ remote must cover merged mass: {v}"),
-            other => panic!("unexpected response {other:?}"),
-        }
-        // A live write stales the replica; estimates fall back to the
-        // live sketch (never a stale hit) until the next rebuild.
-        st.handle(&Request::Insert {
-            count: 1,
-            key: b"pear".to_vec(),
-        });
-        assert!(!st.replica_serving(), "stamp bump must stale the replica");
-        match st.handle(&Request::Estimate {
-            key: b"pear".to_vec(),
-        }) {
-            Response::Value(v) => assert!(v >= 1, "fallback path must see the new write: {v}"),
-            other => panic!("unexpected response {other:?}"),
-        }
-        assert!(st.rebuild_replica());
-        assert!(st.replica_serving());
-        match st.handle(&Request::Estimate {
-            key: b"pear".to_vec(),
-        }) {
-            Response::Value(v) => assert!(v >= 1, "rebuilt replica must carry the write: {v}"),
-            other => panic!("unexpected response {other:?}"),
-        }
-    }
-
-    #[test]
-    fn replica_batch_estimates_dominate_live_batch_estimates() {
-        let st = SharedState::new(&ServerConfig {
-            m: 1 << 12,
-            shards: 4,
-            compressed_replica: Some(ReplicaEncoding::Elias),
-            ..ServerConfig::default()
-        });
-        let keys: Vec<Vec<u8>> = (0u64..200).map(|i| i.to_le_bytes().to_vec()).collect();
-        st.handle(&Request::InsertBatch { keys: keys.clone() });
-        let live = match st.handle(&Request::EstimateBatch { keys: keys.clone() }) {
-            Response::Values(v) => v,
-            other => panic!("unexpected response {other:?}"),
-        };
-        st.rebuild_replica();
-        assert!(st.replica_serving());
-        let compressed = match st.handle(&Request::EstimateBatch { keys }) {
-            Response::Values(v) => v,
-            other => panic!("unexpected response {other:?}"),
-        };
-        // The replica answers from the §5 union, which dominates the
-        // shard-routed live answer key-by-key — one-sidedness holds on
-        // both paths (each key was inserted once, so everything is ≥ 1).
-        for (c, l) in compressed.iter().zip(&live) {
-            assert!(c >= l, "union estimate {c} must dominate routed {l}");
-            assert!(*l >= 1);
-        }
     }
 
     #[test]

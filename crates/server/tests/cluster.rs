@@ -15,6 +15,7 @@ use sbf_server::{
     ClientError, ClusterClient, ClusterError, ClusterTopology, ErrorCode, NodeSpec, SbfClient,
     SbfServer, ServerConfig, ServerHandle,
 };
+use spectral_bloom::{CounterStore, MsSbf, SketchReader};
 const M: usize = 1 << 14;
 const K: usize = 5;
 const SEED: u64 = 42;
@@ -155,6 +156,20 @@ fn three_node_scatter_gather_is_one_sided_vs_reference() {
     let env = cluster.snapshot_union().unwrap();
     let total: u64 = env.counters.iter().sum();
     assert_eq!(total, keys.len() as u64 * K as u64);
+    // §2.2 global queries: the coordinator-side union answers every key
+    // one-sidedly without asking the owning node.
+    let mut global = MsSbf::new(M, K, SEED);
+    for (i, &c) in env.counters.iter().enumerate() {
+        global.core_mut().store_mut().set(i, c);
+    }
+    for (i, key) in distinct.iter().enumerate() {
+        let truth = (i as u64 % 7) + 1;
+        let est = global.estimate(key.as_slice());
+        assert!(
+            est >= truth,
+            "key {i}: union estimate {est} < truth {truth}"
+        );
+    }
 
     cluster.shutdown_all();
     for h in nodes {

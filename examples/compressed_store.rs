@@ -1,103 +1,63 @@
-//! The Section 4 machinery in action, measured the way the CI gate
-//! measures it: the same live sketch frozen into each [`ReplicaEncoding`]
-//! (raw words, the §4 String-Array Index, the §4.5 Elias-δ compact
-//! array), with the storage cost read off [`CompressedReplica`] — the
-//! exact figure the `compressed_frontier` bench records into
-//! `BENCH_compressed.json` — instead of hand-rolled size math.
+//! The Section 4 machinery in action: one Zipf-loaded filter's counter
+//! vector stored three ways — raw `u64` words, the §4 String-Array Index
+//! ([`StaticCounterArray`]) and the §4.5 Elias-δ compact array
+//! ([`CompactCounterArray`]) — with the storage cost of each, read off the
+//! same accessors `sbf info` reports, and a check that every layout
+//! answers exactly the counters it was built from.
 //!
 //! Run with: `cargo run --example compressed_store --release`
 
-use sbf_server::{CompressedReplica, ReplicaEncoding};
+use sbf_sai::{CompactCounterArray, StaticCounterArray};
 use sbf_workloads::ZipfWorkload;
-use spectral_bloom::{MsSbf, ShardedSketch};
+use spectral_bloom::{CounterStore, MsSbf, ShardedSketch, SketchReader};
 
 const M: usize = 100_000;
 const K: usize = 5;
 const SEED: u64 = 1;
 
 fn main() {
-    // The live store a production `sbfd` would mutate.
+    // The live store a production `sbfd` would mutate, unioned (§5
+    // counter addition) into the one counter vector to store.
     let live = ShardedSketch::with_shards(4, |_| MsSbf::new(M, K, SEED));
     let workload = ZipfWorkload::generate(10_000, 200_000, 1.0, 9);
     live.insert_batch(&workload.stream);
+    let union = live.snapshot();
+    let store = union.core().store();
+    let counters: Vec<u64> = (0..M).map(|i| store.get(i)).collect();
 
-    // Freeze it three ways through the serving-path builder.
-    let encodings = [
-        ReplicaEncoding::Raw,
-        ReplicaEncoding::Sai,
-        ReplicaEncoding::Elias,
-    ];
-    let replicas: Vec<CompressedReplica> = encodings
-        .iter()
-        .map(|&enc| CompressedReplica::build(&live, K, SEED, enc))
-        .collect();
+    let sai = StaticCounterArray::from_counters(&counters);
+    let elias = CompactCounterArray::from_counters(&counters);
 
-    // Identical answers — every encoding serves the same §5 union, and
-    // each replica estimate dominates the shard-routed live estimate for
-    // the same byte key (the one-sided guarantee survives compression).
+    // Identical counters, so identical answers: every estimate is a
+    // minimum over the same k counters in any layout, and the union stays
+    // one-sided against the true frequencies.
+    for (i, &c) in counters.iter().enumerate() {
+        assert_eq!(sai.get(i), c, "SAI counter {i}");
+        assert_eq!(elias.get(i), c, "Elias counter {i}");
+    }
     for key in (0u64..10_000).step_by(97) {
-        let bytes = key.to_le_bytes();
-        let want = replicas[0].estimate(&bytes);
-        for rep in &replicas[1..] {
-            assert_eq!(want, rep.estimate(&bytes), "encodings must agree");
-        }
         assert!(
-            want >= live.estimate(&bytes.as_slice()),
-            "replica must stay one-sided"
+            union.estimate(&key) >= workload.truth[key as usize],
+            "union must stay one-sided"
         );
     }
 
-    // ...very different footprints, read off the same accessor the
-    // frontier bench gates on.
-    println!("{:<8} {:>12} {:>14}", "encoding", "bits", "bytes/counter");
-    for rep in &replicas {
+    // ...very different footprints.
+    let layouts = [
+        ("raw", 64 * M),
+        ("sai", sai.size_breakdown().total_bits()),
+        ("elias", elias.total_bits()),
+    ];
+    let bytes_per_counter = |bits: usize| bits as f64 / 8.0 / M as f64;
+    println!("{:<8} {:>12} {:>14}", "layout", "bits", "bytes/counter");
+    for (name, bits) in layouts {
+        println!("{name:<8} {bits:>12} {:>14.4}", bytes_per_counter(bits));
+    }
+    for (name, bits) in &layouts[1..] {
         println!(
-            "{:<8} {:>12} {:>14.4}",
-            rep.encoding().name(),
-            rep.storage_bits(),
-            rep.bytes_per_counter()
+            "{name}: {:.1}x smaller than raw",
+            layouts[0].1 as f64 / *bits as f64
         );
     }
-    let raw = replicas[0].bytes_per_counter();
-    for rep in &replicas[1..] {
-        println!(
-            "{}: {:.1}x smaller than raw",
-            rep.encoding().name(),
-            raw / rep.bytes_per_counter()
-        );
-    }
-
-    // The throughput side of the frontier comes from the recorded bench
-    // baseline — the numbers CI holds steady — when it is present.
-    let baseline = format!("{}/BENCH_compressed.json", env!("CARGO_MANIFEST_DIR"));
-    match std::fs::read_to_string(&baseline) {
-        Err(_) => println!(
-            "\n(no BENCH_compressed.json — run `cargo run --release --bin \
-             compressed_frontier -- --record BENCH_compressed.json` for the \
-             throughput axis)"
-        ),
-        Ok(text) => {
-            println!("\nrecorded frontier ({baseline}):");
-            for enc in ["raw", "sai", "elias"] {
-                let melem = json_field(&text, &format!("{enc}_melem_s"));
-                let vs_raw = json_field(&text, &format!("{enc}_vs_raw"));
-                if let (Some(melem), Some(vs_raw)) = (melem, vs_raw) {
-                    println!("  {enc:<6} {melem:>8.2} Melem/s ({vs_raw:.3}x raw)");
-                }
-            }
-        }
-    }
-    println!("\nspot-checked agreement across all encodings ✓");
-}
-
-/// Pulls `"name": <number>` out of the flat JSON the frontier bench
-/// records (same scanner the bench's `--check` mode uses).
-fn json_field(text: &str, name: &str) -> Option<f64> {
-    let needle = format!("\"{name}\"");
-    let rest = &text[text.find(&needle)? + needle.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    println!("\nall {M} counters agree across every layout ✓");
 }

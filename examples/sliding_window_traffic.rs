@@ -6,17 +6,17 @@
 //! example uses the Recurring Minimum SBF (Minimal Increase would corrupt,
 //! as the paper's Figure 9 shows). The window itself is serial — sliding a
 //! window is an ordered operation — but the sketch is a hash-sharded
-//! `SharedSketch`, so the separate long-term-volume tally can ingest the
-//! same packets from 4 producer threads concurrently. An `mpsc` channel is
-//! the packet bus.
+//! `ShardedSketch` behind an `Arc`, so the separate long-term-volume tally
+//! can ingest the same packets from 4 producer threads concurrently. An
+//! `mpsc` channel is the packet bus.
 //!
 //! Run with: `cargo run --example sliding_window_traffic`
 
 use std::collections::VecDeque;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 
 use sbf_workloads::ZipfWorkload;
-use spectral_bloom::{RmSbf, SharedSketch, SketchReader};
+use spectral_bloom::{RmSbf, ShardedSketch, SketchReader};
 
 const WINDOW: usize = 20_000;
 
@@ -34,14 +34,14 @@ fn main() {
         .map(<[u64]>::to_vec)
         .collect();
 
-    let window_sketch = SharedSketch::new(RmSbf::new(16_000, 5, 3));
-    let window_keeper = window_sketch.clone();
-    let volume_sketch = SharedSketch::with_shards(4, |_| RmSbf::new(16_000, 5, 7));
+    let window_sketch = Arc::new(ShardedSketch::from_shards(vec![RmSbf::new(16_000, 5, 3)]));
+    let window_keeper = Arc::clone(&window_sketch);
+    let volume_sketch = Arc::new(ShardedSketch::with_shards(4, |_| RmSbf::new(16_000, 5, 7)));
 
     std::thread::scope(|scope| {
         for chunk in chunks {
             let tx = tx.clone();
-            let volume = volume_sketch.clone();
+            let volume = Arc::clone(&volume_sketch);
             scope.spawn(move || {
                 for batch in chunk.chunks(512) {
                     volume.insert_batch(batch);

@@ -6,6 +6,8 @@
 
 use proptest::prelude::*;
 use sbf_sai::{CompactCounterArray, DynamicCounterArray, SelectCounterArray, StaticCounterArray};
+use sbf_workloads::ZipfWorkload;
+use spectral_bloom::{CounterStore, MsSbf, ShardedSketch};
 
 fn check_all_agree(counters: &[u64]) {
     let stat = StaticCounterArray::from_counters(counters);
@@ -31,6 +33,13 @@ fn agree_on_typical_sbf_counters() {
             _ => u64::from(i % 3 == 0),
         })
         .collect();
+    check_all_agree(&counters);
+    // A real one: the §5 union of a Zipf-loaded sharded MS filter.
+    let live = ShardedSketch::with_shards(4, |_| MsSbf::new(1 << 14, 5, 42));
+    live.insert_batch(&ZipfWorkload::generate(4_000, 40_000, 1.1, 7).stream);
+    let union = live.snapshot();
+    let store = union.core().store();
+    let counters: Vec<u64> = (0..1 << 14).map(|i| store.get(i)).collect();
     check_all_agree(&counters);
 }
 
