@@ -1,11 +1,14 @@
 //! A fixed-size worker thread pool over an `mpsc` job queue.
 //!
-//! The daemon's concurrency model is deliberately boring: one accept loop
-//! feeds connections into this pool, each worker owns one connection at a
-//! time and runs its request loop to completion. A fixed pool gives the
-//! server a hard cap on concurrent connections (excess accepts queue) and
-//! a trivially correct drain: close the queue, join the workers, and every
-//! in-flight request has finished.
+//! The reactor (`reactor/mod.rs`) owns every socket and hands this pool
+//! the jobs it does not run inline: batches, MERGE, SNAPSHOT, joins, STATS,
+//! HELLO, SHUTDOWN and every durable mutation. A job is one connection's
+//! run of pipelined frames; the worker decodes, applies and encodes them
+//! and posts the response bytes back to the reactor. Workers never own a
+//! connection, so the pool size bounds concurrent CPU work, not
+//! connections (`max_connections` caps those, in the reactor). Drain stays
+//! trivially correct: close the queue, join the workers, and every queued
+//! and running job has finished.
 
 use crate::sync::{lock_unpoisoned, Arc, Mutex};
 use std::sync::mpsc;

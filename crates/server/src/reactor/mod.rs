@@ -1,6 +1,7 @@
 //! The event-driven I/O core of `sbfd`: one reactor thread multiplexes
-//! every connection over epoll while the [`WorkerPool`] does only CPU work
-//! (decode, hash, estimate, WAL append).
+//! every connection over epoll, runs the jobs whose cost is O(k) — k
+//! hashes and k counter probes — itself, and hands every other job to the
+//! [`WorkerPool`] (see *Inline dispatch* below).
 //!
 //! # Shape
 //!
@@ -14,10 +15,26 @@
 //! Per connection the reactor runs a four-stage machine
 //! ([`conn::Connection`]): bytes accumulate in `read_buf`, the splitter
 //! carves out *every* complete frame it holds (pipelined parsing — N
-//! frames per `read(2)`), up to `pipeline_depth` frames ship to a worker
-//! as **one** job, and the worker's concatenated response bytes drain back
-//! through `write_buf`. At most one job per connection is in flight, which
-//! is what keeps pipelined responses in request order.
+//! frames per `read(2)`), up to `pipeline_depth` frames form **one** job,
+//! and the job's concatenated response bytes drain back through
+//! `write_buf`. At most one job per connection is in flight, which is what
+//! keeps pipelined responses in request order — whichever thread runs it.
+//!
+//! # Inline dispatch
+//!
+//! A job runs on the reactor thread when doing so cannot hold up another
+//! connection by more than O(k) work: when its connection is the only one
+//! registered, or when every frame in it is a point frame
+//! ([`is_point_op`]: PING, ESTIMATE, and INSERT/REMOVE on a node with
+//! neither a WAL nor a replicator) or a split-time rejection. Inline jobs
+//! run the same [`worker_process`] as pool jobs and post the same
+//! completion, so the drain gate, the apply→fsync→ack order and typed
+//! errors do not depend on where a job ran. The reactor can now wait on a
+//! lock a pool job holds: an inline ESTIMATE read-locks the `remote`
+//! filter, which a MERGE write-locks while it unions m counters, and a
+//! point frame's shard lock can be held by a pool batch on the same shard.
+//! Such a wait lasts no longer than the pool jobs already holding that
+//! lock, at most one per worker.
 //!
 //! Workers return their bytes through [`Completions`] — a mutex'd vector
 //! plus a [`Waker`] (a `UnixStream` pair whose read end lives in the
@@ -61,7 +78,7 @@ use std::time::{Duration, Instant};
 
 use crate::metrics;
 use crate::pool::WorkerPool;
-use crate::proto::{ErrorCode, ProtoError, Request, Response};
+use crate::proto::{is_point_op, ErrorCode, ProtoError, Request, Response};
 use crate::server::SharedState;
 use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::{lock_unpoisoned, Arc, Mutex};
@@ -405,9 +422,10 @@ impl Reactor {
         self.finish_or_keep(idx);
     }
 
-    /// Ships up to `pipeline_depth` queued frames to a worker as one job.
-    /// At most one job per connection is in flight — that invariant is
-    /// what keeps pipelined responses in request order.
+    /// Runs up to `pipeline_depth` queued frames as one job, inline or on
+    /// the pool (see the module docs). At most one job per connection is
+    /// in flight — that invariant is what keeps pipelined responses in
+    /// request order.
     fn maybe_dispatch(&mut self, idx: usize, pool: &WorkerPool) {
         if self.state.draining() {
             return; // drain_step will close this connection
@@ -436,14 +454,19 @@ impl Reactor {
         });
         let state = Arc::clone(&self.state);
         let completions = Arc::clone(&self.completions);
-        // A lone connection borrows the reactor thread: with nobody else
-        // to starve, the pool handoff (one scheduler hop each way) is
-        // pure overhead, and skipping it keeps single-client throughput
-        // at the old blocking core's level. The moment a second
-        // connection registers, CPU work moves back to the pool. The
-        // completion still travels the normal path; the end-of-iteration
+        // Inline dispatch (see the module docs): for a lone connection or
+        // a job of point frames, the pool round trip — a queue send to
+        // wake a worker, a completion push and a waker write to wake the
+        // reactor — costs far more than the job itself. The completion
+        // still travels the normal path; the end-of-iteration
         // `process_completions` picks it up without a waker syscall.
-        if self.active == 1 {
+        let durable = state.wal().is_some() || state.replicator().is_some();
+        let inline = self.active == 1
+            || items.iter().all(|item| match item {
+                FrameItem::Body(body) => body.first().is_some_and(|&op| is_point_op(op, durable)),
+                FrameItem::Reject(_) => true,
+            });
+        if inline {
             worker_process(&state, &completions, token, generation, items, direct);
             return;
         }
@@ -672,9 +695,10 @@ impl Reactor {
     }
 }
 
-/// The CPU half of a pipelined batch, run on a worker thread: decode,
-/// apply (drain gate + WAL ordering live in `handle_framed`), encode —
-/// then post the concatenated response bytes back to the reactor.
+/// The CPU half of a pipelined batch, run on a worker thread or inline on
+/// the reactor thread: decode, apply (drain gate + WAL ordering live in
+/// `handle_framed`), encode — then post the concatenated response bytes
+/// back to the reactor.
 fn worker_process(
     state: &SharedState,
     completions: &Completions,

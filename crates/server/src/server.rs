@@ -66,7 +66,8 @@ pub struct ServerConfig {
     pub seed: u64,
     /// Shards in the live sketch.
     pub shards: usize,
-    /// Worker threads (= max concurrently served connections).
+    /// Worker threads: how many pool jobs run at once (connection
+    /// capacity is `max_connections`).
     pub workers: usize,
     /// Per-connection read timeout. An idle or stalled peer is dropped
     /// after this long; `None` waits forever.
@@ -99,9 +100,9 @@ pub struct ServerConfig {
     /// Upper bound on one `epoll_wait`; bounds how stale the drain check
     /// can get when nothing else wakes the reactor.
     pub poll_timeout: Duration,
-    /// Most pipelined frames dispatched to a worker as one job, and the
-    /// per-connection parsed-frame queue depth beyond which the reactor
-    /// stops reading that socket (backpressure).
+    /// Most pipelined frames dispatched as one job, and the per-connection
+    /// parsed-frame queue depth beyond which the reactor stops reading
+    /// that socket (backpressure).
     pub pipeline_depth: usize,
     /// Address of a replica `sbfd` to stream mutations to. `Some` makes
     /// every acknowledged mutation semi-synchronously replicated: the

@@ -6,6 +6,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use sbf_server::{ErrorCode, Request, Response, SbfClient, SbfServer, ServerConfig};
@@ -28,6 +29,17 @@ fn test_config() -> ServerConfig {
         .expect("test config is valid")
 }
 
+/// Runs this file's tests one at a time. The thousand-connection test
+/// reads `sbfd_connections_active`, a process-wide gauge that every server
+/// sets to its own connection count, so a server from another test
+/// running beside it would overwrite the count it checks.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    // The lock guards no data, so a test that panicked holding it leaves
+    // nothing inconsistent behind.
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn key_bytes(key: u64) -> Vec<u8> {
     key.to_le_bytes().to_vec()
 }
@@ -44,45 +56,85 @@ fn read_response(stream: &mut TcpStream) -> Response {
 }
 
 /// One write carrying many frames yields one response per frame, in
-/// order. Interleaving INSERT(count = i+1) with ESTIMATE of the same key
-/// makes the order observable: each estimate must already see its
-/// insert, and the distinct counts pin each Value to its position. 100
-/// pairs also overflows the default `pipeline_depth` (32), so the burst
-/// spans several dispatch batches on the server side.
+/// order. Each pair inserts key i with count i+1 and then estimates it,
+/// which makes the order observable: each estimate must already see its
+/// insert, and the distinct counts pin each answer to its position.
+///
+/// The burst runs twice. First on a lone connection with the default
+/// `pipeline_depth` (32), which 100 pairs overflow, so the burst spans
+/// several dispatch batches. Then with a second, idle connection held
+/// open and `pipeline_depth` 1, so every frame is its own job: single-key
+/// frames run on the reactor thread and batch frames on the worker pool,
+/// and the pairs cycle through every reactor/pool transition.
 #[test]
 fn many_frames_in_one_write_yield_ordered_responses() {
+    let _serial = serial();
     const PAIRS: u64 = 100;
-    let handle = SbfServer::bind(test_config()).unwrap().spawn().unwrap();
-    let mut client = SbfClient::builder(handle.addr()).connect().unwrap();
-
     let mut reqs = Vec::new();
     for i in 0..PAIRS {
-        reqs.push(Request::Insert {
-            count: i + 1,
-            key: key_bytes(i),
-        });
-        reqs.push(Request::Estimate { key: key_bytes(i) });
+        let key = key_bytes(i);
+        // Even pairs insert with a point frame, odd ones with a batch;
+        // the estimate alternates every two pairs, so all four
+        // combinations of point and batch frames occur.
+        let insert = if i % 2 == 0 {
+            Request::Insert {
+                count: i + 1,
+                key: key.clone(),
+            }
+        } else {
+            Request::InsertBatch {
+                keys: vec![key.clone(); i as usize + 1],
+            }
+        };
+        let estimate = if i / 2 % 2 == 0 {
+            Request::Estimate { key }
+        } else {
+            Request::EstimateBatch { keys: vec![key] }
+        };
+        reqs.push(insert);
+        reqs.push(estimate);
     }
-    let resps = client.pipeline(&reqs).unwrap();
-    assert_eq!(resps.len(), reqs.len());
-    for (i, pair) in resps.chunks(2).enumerate() {
-        let want = i as u64 + 1;
-        assert!(matches!(pair[0], Response::Ok), "insert {i} should ack");
-        match pair[1] {
-            Response::Value(v) => assert!(
-                v >= want,
-                "estimate {i} must see its preceding insert: {v} < {want}"
-            ),
-            ref other => panic!("estimate {i}: unexpected response {other:?}"),
+
+    for idle_peer in [false, true] {
+        let mut config = test_config();
+        if idle_peer {
+            config.pipeline_depth = 1;
         }
+        let handle = SbfServer::bind(config).unwrap().spawn().unwrap();
+        // A completed round trip proves the reactor registered the peer.
+        let _idle = idle_peer.then(|| {
+            let mut peer = SbfClient::builder(handle.addr()).connect().unwrap();
+            peer.ping().unwrap();
+            peer
+        });
+        let mut client = SbfClient::builder(handle.addr()).connect().unwrap();
+        let resps = client.pipeline(&reqs).unwrap();
+        assert_eq!(resps.len(), reqs.len());
+        for (i, pair) in resps.chunks(2).enumerate() {
+            let want = i as u64 + 1;
+            assert!(
+                matches!(pair[0], Response::Ok),
+                "insert {i} should ack (idle peer: {idle_peer})"
+            );
+            let v = match &pair[1] {
+                Response::Value(v) => *v,
+                Response::Values(vs) if vs.len() == 1 => vs[0],
+                other => panic!("estimate {i}: unexpected response {other:?}"),
+            };
+            assert!(
+                v >= want,
+                "estimate {i} must see its preceding insert: {v} < {want} (idle peer: {idle_peer})"
+            );
+        }
+        handle.shutdown_and_join().unwrap();
     }
-    handle.shutdown_and_join().unwrap();
 }
 
 /// A frame dribbled in over three writes (header split, then body split)
 /// reassembles into exactly one dispatch.
 #[test]
 fn a_frame_split_across_reads_is_reassembled() {
+    let _serial = serial();
     let handle = SbfServer::bind(test_config()).unwrap().spawn().unwrap();
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
 
@@ -115,6 +167,7 @@ fn a_frame_split_across_reads_is_reassembled() {
 /// either side of it are answered normally — the stream resyncs.
 #[test]
 fn an_oversized_frame_mid_pipeline_resyncs_the_stream() {
+    let _serial = serial();
     let mut config = test_config();
     config.max_frame = 1024;
     let handle = SbfServer::bind(config).unwrap().spawn().unwrap();
@@ -155,6 +208,7 @@ fn an_oversized_frame_mid_pipeline_resyncs_the_stream() {
 /// count never bounds the connection count.
 #[test]
 fn a_thousand_idle_connections_are_held_by_four_workers() {
+    let _serial = serial();
     const IDLE: usize = 1000;
     sbf_telemetry::set_enabled(true);
     let handle = SbfServer::bind(test_config()).unwrap().spawn().unwrap();
