@@ -425,9 +425,7 @@ impl<F: HashFamily, S: ConcurrentCounterStore> AtomicMsSbf<F, S> {
         }
         metrics::on(|m| {
             m.estimates.add(num::to_u64(keys.len()));
-            for &est in out.iter() {
-                m.estimate_values.observe(est);
-            }
+            m.estimate_values.observe_many(out);
         });
     }
 

@@ -7,8 +7,14 @@
 //! Every instrumented operation guards its metric updates with
 //! [`sbf_telemetry::enabled`] — one relaxed atomic load and a branch the
 //! predictor learns immediately. With telemetry disabled (the default) no
-//! metric is ever allocated or touched; with it enabled, each update is one
-//! relaxed `fetch_add` on a dedicated cache line.
+//! metric is ever allocated or touched. With it enabled, a counter update is
+//! one relaxed `fetch_add` and a histogram observation is three (bucket,
+//! sum, count). The cells are not padded, so they share cache lines, and
+//! threads updating them at once contend for those lines. Batched estimates
+//! therefore record their values with one
+//! [`Histogram::observe_many`](sbf_telemetry::Histogram::observe_many) per
+//! batch: one `fetch_add` per touched bucket plus sum and count, not three
+//! per key.
 //!
 //! # Metric names
 //!

@@ -121,9 +121,7 @@ impl<F: HashFamily, S: CounterStore> SketchReader for MsSbf<F, S> {
         self.core.min_batch_into(keys, out);
         metrics::on(|m| {
             m.estimates.add(num::to_u64(keys.len()));
-            for &est in out.iter() {
-                m.estimate_values.observe(est);
-            }
+            m.estimate_values.observe_many(out);
         });
     }
 
@@ -132,9 +130,7 @@ impl<F: HashFamily, S: CounterStore> SketchReader for MsSbf<F, S> {
         self.core.min_batch_picked_into(keys, picks, out);
         metrics::on(|m| {
             m.estimates.add(num::to_u64(picks.len()));
-            for &est in out[before..].iter() {
-                m.estimate_values.observe(est);
-            }
+            m.estimate_values.observe_many(&out[before..]);
         });
     }
 

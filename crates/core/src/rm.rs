@@ -264,9 +264,7 @@ impl<F: HashFamily, S: CounterStore> SketchReader for RmSbf<F, S> {
         );
         metrics::on(|m| {
             m.estimates.add(num::to_u64(keys.len()));
-            for &est in out.iter() {
-                m.estimate_values.observe(est);
-            }
+            m.estimate_values.observe_many(out);
         });
     }
 
@@ -286,9 +284,7 @@ impl<F: HashFamily, S: CounterStore> SketchReader for RmSbf<F, S> {
         );
         metrics::on(|m| {
             m.estimates.add(num::to_u64(picks.len()));
-            for &est in out[before..].iter() {
-                m.estimate_values.observe(est);
-            }
+            m.estimate_values.observe_many(&out[before..]);
         });
     }
 

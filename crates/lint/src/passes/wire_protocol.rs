@@ -2,15 +2,21 @@
 //!
 //! `server/src/proto.rs` is the single source of truth for the frame
 //! protocol: `OP_*` opcode constants, the `Request` / `Response` enums,
+//! the borrowed request view `RequestRef` (when the protocol has one),
 //! and `ErrorCode`. This pass parses those from the token stream and
 //! checks that
 //!
-//! * every `Request` variant is constructed/matched in the client and
+//! * `RequestRef`, if defined, has exactly `Request`'s variants — it is
+//!   the one decoder and encoder, so a variant missing there could not
+//!   cross the wire,
+//! * every request variant is constructed/matched in the client and
 //!   matched in the server dispatch (`server.rs` + `reactor/conn.rs`),
+//!   through either `Request::V` or the view's `RequestRef::V`,
 //! * every `Response` variant is matched in the client,
-//! * the recovery/replay path goes through `Request::decode` and the
-//!   `is_mutation` filter (so WAL record kinds can never drift from the
-//!   protocol's mutation set),
+//! * the recovery/replay path decodes through the protocol
+//!   (`Request::decode` or `RequestRef::decode`) and the `is_mutation`
+//!   filter (so WAL record kinds can never drift from the protocol's
+//!   mutation set),
 //! * the DESIGN.md §4f opcode table lists exactly the `OP_*` constants
 //!   with the same hex values, and its error-code list names exactly the
 //!   `ErrorCode` variants.
@@ -30,6 +36,9 @@ pub struct Protocol {
     pub opcodes: BTreeMap<String, u64>,
     /// `Request` variant names.
     pub requests: Vec<String>,
+    /// `RequestRef` (the borrowed request view) variant names, when the
+    /// protocol defines one.
+    pub request_view: Option<Vec<String>>,
     /// `Response` variant names.
     pub responses: Vec<String>,
     /// `ErrorCode` variant names.
@@ -66,6 +75,7 @@ pub fn parse_protocol(tokens: &[Token]) -> Protocol {
             let (variants, next) = parse_enum_variants(tokens, i + 2);
             match name.as_str() {
                 "Request" => proto.requests = variants,
+                "RequestRef" => proto.request_view = Some(variants),
                 "Response" => proto.responses = variants,
                 "ErrorCode" => proto.error_codes = variants,
                 _ => {}
@@ -156,6 +166,13 @@ fn mentions_variant(tokens: &[Token], enum_name: &str, variant: &str) -> bool {
     })
 }
 
+/// `Request::V` — or, when the protocol has a borrowed view, `RequestRef::V`
+/// — appears somewhere in `tokens`.
+fn mentions_request(tokens: &[Token], proto: &Protocol, variant: &str) -> bool {
+    mentions_variant(tokens, "Request", variant)
+        || (proto.request_view.is_some() && mentions_variant(tokens, "RequestRef", variant))
+}
+
 /// Runs the pass against the configured proto/client/dispatch files and
 /// DESIGN.md.
 pub fn run(ws: &Workspace, cfg: &LintConfig) -> Vec<Diagnostic> {
@@ -185,6 +202,28 @@ pub fn run(ws: &Workspace, cfg: &LintConfig) -> Vec<Diagnostic> {
         return diags;
     }
 
+    // The borrowed view is the only codec: it must mirror `Request`.
+    if let Some(view) = &proto.request_view {
+        for v in proto.requests.iter().filter(|v| !view.contains(v)) {
+            diags.push(Diagnostic::new(
+                PASS,
+                proto_rel,
+                1,
+                1,
+                format!("`RequestRef::{v}` is missing: the borrowed view must mirror every `Request` variant"),
+            ));
+        }
+        for v in view.iter().filter(|v| !proto.requests.contains(v)) {
+            diags.push(Diagnostic::new(
+                PASS,
+                proto_rel,
+                1,
+                1,
+                format!("`RequestRef::{v}` has no `Request` counterpart"),
+            ));
+        }
+    }
+
     // Client: must speak every request and handle every response.
     for client_rel in &cfg.client_rels {
         let Some(client) = ws.file(client_rel) else {
@@ -198,7 +237,7 @@ pub fn run(ws: &Workspace, cfg: &LintConfig) -> Vec<Diagnostic> {
             continue;
         };
         for v in &proto.requests {
-            if !mentions_variant(&client.tokens, "Request", v) {
+            if !mentions_request(&client.tokens, &proto, v) {
                 diags.push(Diagnostic::new(
                     PASS,
                     client_rel,
@@ -231,7 +270,7 @@ pub fn run(ws: &Workspace, cfg: &LintConfig) -> Vec<Diagnostic> {
             }
         }
         for v in &proto.requests {
-            if !mentions_variant(&dispatch_tokens, "Request", v) {
+            if !mentions_request(&dispatch_tokens, &proto, v) {
                 diags.push(Diagnostic::new(
                     PASS,
                     &cfg.dispatch_rels[0],
@@ -248,7 +287,9 @@ pub fn run(ws: &Workspace, cfg: &LintConfig) -> Vec<Diagnostic> {
     if let Some(recovery_rel) = &cfg.recovery_rel {
         match ws.file(recovery_rel) {
             Some(rec) => {
-                if !mentions_variant(&rec.tokens, "Request", "decode") {
+                if !mentions_variant(&rec.tokens, "Request", "decode")
+                    && !mentions_variant(&rec.tokens, "RequestRef", "decode")
+                {
                     diags.push(Diagnostic::new(
                         PASS,
                         recovery_rel,

@@ -251,6 +251,13 @@ fn wire_fixture_catches_client_dispatch_recovery_and_doc_drift() {
     cfg.design_path = Some(dir.join("design.md"));
     let diags = passes::wire_protocol::run(&ws, &cfg);
     assert_expected(&ws, &diags);
+    assert!(
+        diags.iter().any(|d| d
+            .message
+            .contains("`RequestRef::Peek` has no `Request` counterpart")),
+        "missing the extra-view-variant diagnostic:\n{}",
+        render(&diags)
+    );
     let design: Vec<_> = diags
         .iter()
         .filter(|d| d.path.to_string_lossy() == "design.md")

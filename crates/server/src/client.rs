@@ -27,7 +27,7 @@ use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use crate::proto::{ErrorCode, ProtoError, Request, Response, MAX_FRAME_DEFAULT};
+use crate::proto::{self, ErrorCode, ProtoError, Request, RequestRef, Response, MAX_FRAME_DEFAULT};
 
 /// Configures and opens an [`SbfClient`] connection. Obtained from
 /// [`SbfClient::builder`]; every knob is optional.
@@ -189,8 +189,13 @@ impl SbfClient {
     /// `u32` length prefix fails client-side as [`ClientError::Proto`]
     /// (`Oversized`) before any bytes are written.
     pub fn roundtrip(&mut self, req: &Request) -> Result<Response, ClientError> {
-        self.stream.write_all(&req.encode()?)?;
-        self.stream.flush()?;
+        self.roundtrip_ref(&req.view())
+    }
+
+    /// [`roundtrip`](Self::roundtrip) for a borrowed request: encoded
+    /// straight from the caller's keys, with no owned copy of them.
+    pub(crate) fn roundtrip_ref(&mut self, req: &RequestRef<'_>) -> Result<Response, ClientError> {
+        self.send(req)?;
         match self.read_response()? {
             Response::Error { code, message } => Err(ClientError::Server { code, message }),
             resp => Ok(resp),
@@ -201,7 +206,7 @@ impl SbfClient {
     /// scatter half of the cluster client's fan-out ([`recv`](Self::recv)
     /// is the gather half). Pairs must stay balanced per connection or
     /// responses desynchronize.
-    pub(crate) fn send(&mut self, req: &Request) -> Result<(), ClientError> {
+    pub(crate) fn send(&mut self, req: &RequestRef<'_>) -> Result<(), ClientError> {
         self.stream.write_all(&req.encode()?)?;
         self.stream.flush()?;
         Ok(())
@@ -234,7 +239,7 @@ impl SbfClient {
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        match self.roundtrip(&Request::Ping)? {
+        match self.roundtrip_ref(&RequestRef::Ping)? {
             Response::Ok => Ok(()),
             _ => Err(ClientError::Unexpected("ping expects Ok")),
         }
@@ -242,10 +247,7 @@ impl SbfClient {
 
     /// Adds `count` occurrences of `key`.
     pub fn insert(&mut self, key: &[u8], count: u64) -> Result<(), ClientError> {
-        match self.roundtrip(&Request::Insert {
-            count,
-            key: key.to_vec(),
-        })? {
+        match self.roundtrip_ref(&RequestRef::Insert { count, key })? {
             Response::Ok => Ok(()),
             _ => Err(ClientError::Unexpected("insert expects Ok")),
         }
@@ -254,10 +256,7 @@ impl SbfClient {
     /// Removes `count` occurrences of `key`; underflow comes back as a
     /// [`ClientError::Server`] with [`ErrorCode::Underflow`].
     pub fn remove(&mut self, key: &[u8], count: u64) -> Result<(), ClientError> {
-        match self.roundtrip(&Request::Remove {
-            count,
-            key: key.to_vec(),
-        })? {
+        match self.roundtrip_ref(&RequestRef::Remove { count, key })? {
             Response::Ok => Ok(()),
             _ => Err(ClientError::Unexpected("remove expects Ok")),
         }
@@ -265,16 +264,16 @@ impl SbfClient {
 
     /// The server's one-sided multiplicity estimate for `key`.
     pub fn estimate(&mut self, key: &[u8]) -> Result<u64, ClientError> {
-        match self.roundtrip(&Request::Estimate { key: key.to_vec() })? {
+        match self.roundtrip_ref(&RequestRef::Estimate { key })? {
             Response::Value(v) => Ok(v),
             _ => Err(ClientError::Unexpected("estimate expects Value")),
         }
     }
 
     /// Adds one occurrence of every key in one frame (the hot path).
-    pub fn insert_batch(&mut self, keys: &[Vec<u8>]) -> Result<(), ClientError> {
-        match self.roundtrip(&Request::InsertBatch {
-            keys: keys.to_vec(),
+    pub fn insert_batch<K: AsRef<[u8]>>(&mut self, keys: &[K]) -> Result<(), ClientError> {
+        match self.roundtrip_ref(&RequestRef::InsertBatch {
+            keys: proto::borrow_keys(keys),
         })? {
             Response::Ok => Ok(()),
             _ => Err(ClientError::Unexpected("insert_batch expects Ok")),
@@ -282,9 +281,9 @@ impl SbfClient {
     }
 
     /// Estimates every key in one frame; answers come back in input order.
-    pub fn estimate_batch(&mut self, keys: &[Vec<u8>]) -> Result<Vec<u64>, ClientError> {
-        match self.roundtrip(&Request::EstimateBatch {
-            keys: keys.to_vec(),
+    pub fn estimate_batch<K: AsRef<[u8]>>(&mut self, keys: &[K]) -> Result<Vec<u64>, ClientError> {
+        match self.roundtrip_ref(&RequestRef::EstimateBatch {
+            keys: proto::borrow_keys(keys),
         })? {
             Response::Values(vs) => {
                 if vs.len() == keys.len() {
@@ -300,9 +299,7 @@ impl SbfClient {
     /// Ships a wire-encoded [`sbf_db::wire::FilterEnvelope`] for §5 union
     /// into the server's filter.
     pub fn merge(&mut self, envelope: &[u8]) -> Result<(), ClientError> {
-        match self.roundtrip(&Request::Merge {
-            envelope: envelope.to_vec(),
-        })? {
+        match self.roundtrip_ref(&RequestRef::Merge { envelope })? {
             Response::Ok => Ok(()),
             _ => Err(ClientError::Unexpected("merge expects Ok")),
         }
@@ -310,7 +307,7 @@ impl SbfClient {
 
     /// Fetches the server's whole filter as an encoded envelope.
     pub fn snapshot(&mut self) -> Result<Vec<u8>, ClientError> {
-        match self.roundtrip(&Request::Snapshot)? {
+        match self.roundtrip_ref(&RequestRef::Snapshot)? {
             Response::Frame(bytes) => Ok(bytes),
             _ => Err(ClientError::Unexpected("snapshot expects Frame")),
         }
@@ -318,7 +315,7 @@ impl SbfClient {
 
     /// Fetches the server's telemetry as Prometheus exposition text.
     pub fn stats(&mut self) -> Result<String, ClientError> {
-        match self.roundtrip(&Request::Stats)? {
+        match self.roundtrip_ref(&RequestRef::Stats)? {
             Response::Text(text) => Ok(text),
             _ => Err(ClientError::Unexpected("stats expects Text")),
         }
@@ -327,7 +324,7 @@ impl SbfClient {
     /// Asks the server to drain and exit; the Ok answer confirms the
     /// drain has begun, not that it has finished.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        match self.roundtrip(&Request::Shutdown)? {
+        match self.roundtrip_ref(&RequestRef::Shutdown)? {
             Response::Ok => Ok(()),
             _ => Err(ClientError::Unexpected("shutdown expects Ok")),
         }
@@ -338,7 +335,7 @@ impl SbfClient {
     /// with [`ErrorCode::Incompatible`], surfaced here as
     /// [`ClientError::Server`].
     pub fn hello(&mut self, m: usize, k: usize, seed: u64) -> Result<(), ClientError> {
-        match self.roundtrip(&Request::Hello {
+        match self.roundtrip_ref(&RequestRef::Hello {
             m: m as u64,
             k: k as u64,
             seed,
@@ -353,7 +350,7 @@ impl SbfClient {
     /// `(m, k, seed)` refuses with [`ErrorCode::Incompatible`] instead of
     /// shipping an envelope the caller could not multiply into.
     pub fn join_filter(&mut self, m: usize, k: usize, seed: u64) -> Result<Vec<u8>, ClientError> {
-        match self.roundtrip(&Request::JoinFilter {
+        match self.roundtrip_ref(&RequestRef::JoinFilter {
             m: m as u64,
             k: k as u64,
             seed,
@@ -367,16 +364,16 @@ impl SbfClient {
     /// fetches its filter, multiplies it into its own (§5.3), and answers
     /// one joined-frequency estimate per key in input order (zeroed below
     /// `threshold`).
-    pub fn join_plan(
+    pub fn join_plan<K: AsRef<[u8]>>(
         &mut self,
         peer: &str,
         threshold: u64,
-        keys: &[Vec<u8>],
+        keys: &[K],
     ) -> Result<Vec<u64>, ClientError> {
-        match self.roundtrip(&Request::JoinPlan {
-            peer: peer.to_string(),
+        match self.roundtrip_ref(&RequestRef::JoinPlan {
+            peer,
             threshold,
-            keys: keys.to_vec(),
+            keys: proto::borrow_keys(keys),
         })? {
             Response::Values(vs) => {
                 if vs.len() == keys.len() {
@@ -402,7 +399,7 @@ impl SbfClient {
     pub fn pipeline(&mut self, reqs: &[Request]) -> Result<Vec<Response>, ClientError> {
         let mut wire = Vec::new();
         for req in reqs {
-            wire.extend_from_slice(&req.encode()?);
+            req.view().encode_into(&mut wire)?;
         }
         self.stream.write_all(&wire)?;
         self.stream.flush()?;

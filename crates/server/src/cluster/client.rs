@@ -34,7 +34,7 @@ use sbf_db::wire::FilterEnvelope;
 
 use crate::client::{ClientError, SbfClient};
 use crate::metrics;
-use crate::proto::{Request, Response};
+use crate::proto::{self, RequestRef, Response};
 
 use super::topology::{ClusterTopology, NodeSpec};
 
@@ -276,14 +276,18 @@ impl ClusterClient {
 
     /// One read round trip with single-shot replica failover on transport
     /// failure. Server error frames do not fail over — the node answered.
-    fn read_roundtrip(&mut self, node: usize, req: &Request) -> Result<Response, ClusterError> {
-        match self.conns[node].conn.roundtrip(req) {
+    fn read_roundtrip(
+        &mut self,
+        node: usize,
+        req: &RequestRef<'_>,
+    ) -> Result<Response, ClusterError> {
+        match self.conns[node].conn.roundtrip_ref(req) {
             Ok(resp) => Ok(resp),
             Err(ClientError::Io(_)) => {
                 self.failover(node)?;
                 self.conns[node]
                     .conn
-                    .roundtrip(req)
+                    .roundtrip_ref(req)
                     .map_err(|e| self.node_error(node, e))
             }
             Err(e) => Err(self.node_error(node, e)),
@@ -293,7 +297,11 @@ impl ClusterClient {
     /// One mutation round trip: never fails over (a replica must not take
     /// writes the primary's WAL never saw) and is refused client-side
     /// when the node is already serving from its replica.
-    fn mutate_roundtrip(&mut self, node: usize, req: &Request) -> Result<Response, ClusterError> {
+    fn mutate_roundtrip(
+        &mut self,
+        node: usize,
+        req: &RequestRef<'_>,
+    ) -> Result<Response, ClusterError> {
         if self.conns[node].on_replica {
             return Err(self.node_error(
                 node,
@@ -304,20 +312,14 @@ impl ClusterClient {
         }
         self.conns[node]
             .conn
-            .roundtrip(req)
+            .roundtrip_ref(req)
             .map_err(|e| self.node_error(node, e))
     }
 
     /// Adds `count` occurrences of `key` on its owning node.
     pub fn insert(&mut self, key: &[u8], count: u64) -> Result<(), ClusterError> {
         let node = self.topology.node_of(key);
-        match self.mutate_roundtrip(
-            node,
-            &Request::Insert {
-                count,
-                key: key.to_vec(),
-            },
-        )? {
+        match self.mutate_roundtrip(node, &RequestRef::Insert { count, key })? {
             Response::Ok => Ok(()),
             _ => Err(self.node_error(node, ClientError::Unexpected("insert expects Ok"))),
         }
@@ -326,13 +328,7 @@ impl ClusterClient {
     /// Removes `count` occurrences of `key` on its owning node.
     pub fn remove(&mut self, key: &[u8], count: u64) -> Result<(), ClusterError> {
         let node = self.topology.node_of(key);
-        match self.mutate_roundtrip(
-            node,
-            &Request::Remove {
-                count,
-                key: key.to_vec(),
-            },
-        )? {
+        match self.mutate_roundtrip(node, &RequestRef::Remove { count, key })? {
             Response::Ok => Ok(()),
             _ => Err(self.node_error(node, ClientError::Unexpected("remove expects Ok"))),
         }
@@ -341,27 +337,28 @@ impl ClusterClient {
     /// The owning node's one-sided estimate for `key` (read; fails over).
     pub fn estimate(&mut self, key: &[u8]) -> Result<u64, ClusterError> {
         let node = self.topology.node_of(key);
-        match self.read_roundtrip(node, &Request::Estimate { key: key.to_vec() })? {
+        match self.read_roundtrip(node, &RequestRef::Estimate { key })? {
             Response::Value(v) => Ok(v),
             _ => Err(self.node_error(node, ClientError::Unexpected("estimate expects Value"))),
         }
     }
 
     /// Partitions `keys` per owning node and returns `(touched nodes,
-    /// their sub-batches)`, recording the fan-out histogram.
-    fn scatter_plan(&mut self, keys: &[Vec<u8>]) -> Vec<(usize, Vec<Vec<u8>>)> {
+    /// their sub-batches)`, recording the fan-out histogram. Sub-batches
+    /// borrow the caller's keys.
+    fn scatter_plan<'k, K: AsRef<[u8]>>(&mut self, keys: &'k [K]) -> Vec<(usize, Vec<&'k [u8]>)> {
         let n = self.topology.num_nodes();
         let topo = &self.topology;
         self.scratch
-            .partition(keys.len(), n, |i| topo.node_of(keys[i].as_slice()));
-        let plan: Vec<(usize, Vec<Vec<u8>>)> = (0..n)
+            .partition(keys.len(), n, |i| topo.node_of(keys[i].as_ref()));
+        let plan: Vec<(usize, Vec<&[u8]>)> = (0..n)
             .filter(|&node| !self.scratch.picks(node).is_empty())
             .map(|node| {
                 let sub = self
                     .scratch
                     .picks(node)
                     .iter()
-                    .map(|&i| keys[i as usize].clone())
+                    .map(|&i| keys[i as usize].as_ref())
                     .collect();
                 (node, sub)
             })
@@ -375,14 +372,14 @@ impl ClusterClient {
     /// read. Mutations do not fail over; the first failing node aborts
     /// (keys acknowledged by other nodes in the same batch stay applied —
     /// re-running the batch only over-counts, which is one-sided-safe).
-    pub fn insert_batch(&mut self, keys: &[Vec<u8>]) -> Result<(), ClusterError> {
+    pub fn insert_batch<K: AsRef<[u8]>>(&mut self, keys: &[K]) -> Result<(), ClusterError> {
         if keys.is_empty() {
             return Ok(());
         }
-        let plan: Vec<(usize, Request)> = self
+        let plan: Vec<(usize, RequestRef<'_>)> = self
             .scatter_plan(keys)
             .into_iter()
-            .map(|(node, sub)| (node, Request::InsertBatch { keys: sub }))
+            .map(|(node, sub)| (node, RequestRef::InsertBatch { keys: sub }))
             .collect();
         for (node, req) in &plan {
             if self.conns[*node].on_replica {
@@ -420,14 +417,14 @@ impl ClusterClient {
     /// one-sidedness lifts to the whole batch. A node whose transport
     /// fails in the gather phase fails over to its replica and retries
     /// its sub-batch once.
-    pub fn estimate_batch(&mut self, keys: &[Vec<u8>]) -> Result<Vec<u64>, ClusterError> {
+    pub fn estimate_batch<K: AsRef<[u8]>>(&mut self, keys: &[K]) -> Result<Vec<u64>, ClusterError> {
         if keys.is_empty() {
             return Ok(Vec::new());
         }
-        let plan: Vec<(usize, Request)> = self
+        let plan: Vec<(usize, RequestRef<'_>)> = self
             .scatter_plan(keys)
             .into_iter()
-            .map(|(node, sub)| (node, Request::EstimateBatch { keys: sub }))
+            .map(|(node, sub)| (node, RequestRef::EstimateBatch { keys: sub }))
             .collect();
         let mut sendfail = Vec::new();
         for (node, req) in &plan {
@@ -443,7 +440,7 @@ impl ClusterClient {
                 self.failover(*node)?;
                 self.conns[*node]
                     .conn
-                    .roundtrip(req)
+                    .roundtrip_ref(req)
                     .map_err(|e| self.node_error(*node, e))?
             } else {
                 match self.conns[*node].conn.recv() {
@@ -455,7 +452,7 @@ impl ClusterClient {
                         self.failover(*node)?;
                         self.conns[*node]
                             .conn
-                            .roundtrip(req)
+                            .roundtrip_ref(req)
                             .map_err(|e| self.node_error(*node, e))?
                     }
                     Err(e) => return Err(self.node_error(*node, e)),
@@ -487,7 +484,7 @@ impl ClusterClient {
     pub fn snapshot_union(&mut self) -> Result<FilterEnvelope, ClusterError> {
         let mut merged: Option<FilterEnvelope> = None;
         for node in 0..self.topology.num_nodes() {
-            let bytes = match self.read_roundtrip(node, &Request::Snapshot)? {
+            let bytes = match self.read_roundtrip(node, &RequestRef::Snapshot)? {
                 Response::Frame(b) => b,
                 _ => {
                     return Err(
@@ -527,18 +524,18 @@ impl ClusterClient {
     /// `right`'s currently-serving address, multiplies the two filters
     /// counter-wise, and answers one joined-frequency estimate per key
     /// (zeroed below `threshold`), in input order.
-    pub fn join(
+    pub fn join<K: AsRef<[u8]>>(
         &mut self,
         left: usize,
         right: usize,
         threshold: u64,
-        keys: &[Vec<u8>],
+        keys: &[K],
     ) -> Result<Vec<u64>, ClusterError> {
         let peer = self.conns[right].current_addr().to_string();
-        let req = Request::JoinPlan {
-            peer,
+        let req = RequestRef::JoinPlan {
+            peer: &peer,
             threshold,
-            keys: keys.to_vec(),
+            keys: proto::borrow_keys(keys),
         };
         match self.read_roundtrip(left, &req)? {
             Response::Values(vs) if vs.len() == keys.len() => Ok(vs),
@@ -553,7 +550,7 @@ impl ClusterClient {
     /// reachable and geometry-compatible.
     pub fn ping_all(&mut self) -> Result<(), ClusterError> {
         for node in 0..self.topology.num_nodes() {
-            match self.read_roundtrip(node, &Request::Ping)? {
+            match self.read_roundtrip(node, &RequestRef::Ping)? {
                 Response::Ok => {}
                 _ => {
                     return Err(self.node_error(node, ClientError::Unexpected("ping expects Ok")));
@@ -570,7 +567,7 @@ impl ClusterClient {
     pub fn shutdown_all(&mut self) {
         let (m, k, seed) = self.topology.geometry();
         for nc in &mut self.conns {
-            let _ = nc.conn.roundtrip(&Request::Shutdown);
+            let _ = nc.conn.roundtrip_ref(&RequestRef::Shutdown);
             // The counterpart address (replica when serving the primary
             // and vice versa) gets a fresh best-effort connection.
             let other = if nc.on_replica {

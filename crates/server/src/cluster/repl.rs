@@ -42,7 +42,7 @@ use std::time::Duration;
 
 use crate::client::SbfClient;
 use crate::metrics;
-use crate::proto::{ErrorCode, Request, Response};
+use crate::proto::{ErrorCode, RequestRef, Response};
 use crate::server::SharedState;
 use crate::sync::{lock_unpoisoned, Mutex};
 
@@ -95,7 +95,7 @@ impl Replicator {
     /// replica acknowledged it (an [`ErrorCode::Underflow`] answer counts
     /// — see module docs). `false` means the caller must not acknowledge
     /// the mutation.
-    pub(crate) fn ship(&self, req: &Request, raw_body: Option<&[u8]>) -> bool {
+    pub(crate) fn ship(&self, req: &RequestRef<'_>, raw_body: Option<&[u8]>) -> bool {
         // Rebuild the full frame: 4-byte LE length prefix + body, the
         // same bytes `Request::encode` emits and the WAL logs.
         let frame = match raw_body {
@@ -189,9 +189,9 @@ mod tests {
     fn ship_fails_fast_and_tracks_lag_while_down() {
         let repl = Replicator::new("127.0.0.1:1".into());
         assert!(!repl.connected());
-        let req = Request::Insert {
+        let req = RequestRef::Insert {
             count: 1,
-            key: b"k".to_vec(),
+            key: b"k",
         };
         assert!(!repl.ship(&req, None));
         assert_eq!(repl.shipped(), 0);

@@ -59,7 +59,7 @@ pub mod wal;
 
 pub use client::{ClientBuilder, ClientError, SbfClient};
 pub use cluster::{ClusterClient, ClusterError, ClusterTopology, NodeSpec, Replicator};
-pub use proto::{ErrorCode, ProtoError, Request, Response, MAX_FRAME_DEFAULT};
+pub use proto::{ErrorCode, ProtoError, Request, RequestRef, Response, MAX_FRAME_DEFAULT};
 pub use recovery::{RecoveryError, RecoveryReport, WalInspection};
 pub use server::{
     ConfigError, SbfServer, ServerConfig, ServerConfigBuilder, ServerHandle, SharedState,

@@ -11,7 +11,7 @@
 //! | name | kind | measures |
 //! |---|---|---|
 //! | `sbfd_connections_total` | counter | accepted TCP connections |
-//! | `sbfd_connections_active` | gauge | connections currently registered with the reactor |
+//! | `sbfd_connections_active` | gauge | connections currently registered with a reactor, summed over every server in the process |
 //! | `sbfd_requests_total{op="…"}` | counter | decoded requests, per command |
 //! | `sbfd_request_latency_ns` | histogram | decode→respond wall time per request |
 //! | `sbfd_bytes_read_total` | counter | request frame bytes received |

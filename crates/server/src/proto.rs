@@ -17,6 +17,11 @@
 //! can be fed to `sbf merge`, `sbf info`, or another server's MERGE
 //! unchanged.
 //!
+//! [`RequestRef`] is the request codec: it decodes a frame body in place,
+//! its keys and blobs borrowing the body, and encodes straight into a
+//! caller's buffer. [`Request`], the owned form, converts to and from it,
+//! so there is one request parser and one request encoder.
+//!
 //! Decoders here face attacker-controlled bytes. They validate every
 //! length field against the bytes actually present *before* allocating
 //! (the batch paths additionally bound element counts by the payload
@@ -108,6 +113,83 @@ pub enum Request {
     /// (`Incompatible`) unless `(m, k, seed)` match — multiplying filters
     /// with different hash functions would be meaningless (§5.3's
     /// "identical in their parameters" precondition).
+    JoinFilter {
+        /// Counters per filter the joining node expects.
+        m: u64,
+        /// Hash functions per filter the joining node expects.
+        k: u64,
+        /// Hash seed the joining node expects.
+        seed: u64,
+    },
+}
+
+/// A request borrowing the frame body it was decoded from (or the owned
+/// [`Request`] it views): the protocol's only request decoder and encoder.
+/// Decoding a batch allocates one vector of slices, not one buffer per
+/// key. Variants mirror [`Request`]'s one for one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RequestRef<'a> {
+    /// [`Request::Ping`].
+    Ping,
+    /// [`Request::Insert`].
+    Insert {
+        /// Multiplicity to add.
+        count: u64,
+        /// Opaque key bytes.
+        key: &'a [u8],
+    },
+    /// [`Request::Remove`].
+    Remove {
+        /// Multiplicity to remove.
+        count: u64,
+        /// Opaque key bytes.
+        key: &'a [u8],
+    },
+    /// [`Request::Estimate`].
+    Estimate {
+        /// Opaque key bytes.
+        key: &'a [u8],
+    },
+    /// [`Request::InsertBatch`].
+    InsertBatch {
+        /// Opaque keys, applied in order.
+        keys: Vec<&'a [u8]>,
+    },
+    /// [`Request::EstimateBatch`].
+    EstimateBatch {
+        /// Opaque keys.
+        keys: Vec<&'a [u8]>,
+    },
+    /// [`Request::Merge`].
+    Merge {
+        /// Encoded [`FilterEnvelope`] bytes.
+        envelope: &'a [u8],
+    },
+    /// [`Request::Snapshot`].
+    Snapshot,
+    /// [`Request::Stats`].
+    Stats,
+    /// [`Request::Shutdown`].
+    Shutdown,
+    /// [`Request::Hello`].
+    Hello {
+        /// Counters per filter the client expects.
+        m: u64,
+        /// Hash functions per filter the client expects.
+        k: u64,
+        /// Hash seed the client expects.
+        seed: u64,
+    },
+    /// [`Request::JoinPlan`].
+    JoinPlan {
+        /// The peer node's `host:port`.
+        peer: &'a str,
+        /// `HAVING count(*) >= threshold` cut.
+        threshold: u64,
+        /// Candidate join keys, answered in order.
+        keys: Vec<&'a [u8]>,
+    },
+    /// [`Request::JoinFilter`].
     JoinFilter {
         /// Counters per filter the joining node expects.
         m: u64,
@@ -322,6 +404,11 @@ impl<'a> Scan<'a> {
         Ok(head)
     }
 
+    /// Everything left in the payload (a trailing key or blob).
+    fn rest(&mut self) -> &'a [u8] {
+        std::mem::take(&mut self.rest)
+    }
+
     /// A `u32`-length-prefixed byte string.
     fn lstring(&mut self) -> Result<&'a [u8], ProtoError> {
         let n = self.u32()? as usize;
@@ -331,15 +418,16 @@ impl<'a> Scan<'a> {
     /// A batch of length-prefixed byte strings. The element count is
     /// validated against the minimum bytes it implies (4 per element)
     /// before the output vector is reserved, so a hostile count cannot
-    /// drive a huge allocation.
-    fn key_batch(&mut self) -> Result<Vec<Vec<u8>>, ProtoError> {
+    /// drive a huge allocation. The keys borrow the payload; the vector
+    /// of slices is the batch's only allocation.
+    fn key_batch(&mut self) -> Result<Vec<&'a [u8]>, ProtoError> {
         let n = self.u32()? as usize;
         if n > self.rest.len() / 4 {
             return Err(ProtoError::Truncated);
         }
         let mut keys = Vec::with_capacity(n);
         for _ in 0..n {
-            keys.push(self.lstring()?.to_vec());
+            keys.push(self.lstring()?);
         }
         Ok(keys)
     }
@@ -360,106 +448,156 @@ fn put_lstring(buf: &mut Vec<u8>, bytes: &[u8]) -> Result<(), ProtoError> {
     Ok(())
 }
 
-/// Wraps `opcode` + `payload` in a length-prefixed frame. The length field
-/// is a checked conversion via [`framing::u32_len`]: a payload past
-/// `u32::MAX − 1` bytes is [`ProtoError::Oversized`], not a frame that
-/// silently declares itself ~4 GiB shorter than it is.
-fn frame(opcode: u8, payload: &[u8]) -> Result<Vec<u8>, ProtoError> {
-    let len = framing::u32_len(1 + payload.len())?;
-    let mut out = Vec::with_capacity(5 + payload.len());
+/// Appends one frame — length prefix, `opcode`, then the `payload_len`
+/// bytes `payload` writes — to `out`. The length field is a checked
+/// conversion via [`framing::u32_len`], made before anything is written:
+/// a payload past `u32::MAX − 1` bytes is [`ProtoError::Oversized`], not a
+/// frame that silently declares itself ~4 GiB shorter than it is. On any
+/// error `out` is truncated back to where the frame would have started,
+/// so a caller that appends frames back to back never leaves half of one.
+fn put_frame(
+    out: &mut Vec<u8>,
+    opcode: u8,
+    payload_len: usize,
+    payload: impl FnOnce(&mut Vec<u8>) -> Result<(), ProtoError>,
+) -> Result<(), ProtoError> {
+    let len = framing::u32_len(1 + payload_len)?;
+    let start = out.len();
+    out.reserve(5 + payload_len);
     out.extend_from_slice(&len.to_le_bytes());
     out.push(opcode);
-    out.extend_from_slice(payload);
-    Ok(out)
+    let written = payload(out);
+    if written.is_err() {
+        out.truncate(start);
+    }
+    debug_assert!(written.is_err() || out.len() == start + 5 + payload_len);
+    written
 }
 
 impl Request {
+    /// Borrows this request as the [`RequestRef`] view the codec works on.
+    pub fn view(&self) -> RequestRef<'_> {
+        match self {
+            Request::Ping => RequestRef::Ping,
+            Request::Insert { count, key } => RequestRef::Insert { count: *count, key },
+            Request::Remove { count, key } => RequestRef::Remove { count: *count, key },
+            Request::Estimate { key } => RequestRef::Estimate { key },
+            Request::InsertBatch { keys } => RequestRef::InsertBatch {
+                keys: borrow_keys(keys),
+            },
+            Request::EstimateBatch { keys } => RequestRef::EstimateBatch {
+                keys: borrow_keys(keys),
+            },
+            Request::Merge { envelope } => RequestRef::Merge { envelope },
+            Request::Snapshot => RequestRef::Snapshot,
+            Request::Stats => RequestRef::Stats,
+            Request::Shutdown => RequestRef::Shutdown,
+            Request::Hello { m, k, seed } => RequestRef::Hello {
+                m: *m,
+                k: *k,
+                seed: *seed,
+            },
+            Request::JoinPlan {
+                peer,
+                threshold,
+                keys,
+            } => RequestRef::JoinPlan {
+                peer,
+                threshold: *threshold,
+                keys: borrow_keys(keys),
+            },
+            Request::JoinFilter { m, k, seed } => RequestRef::JoinFilter {
+                m: *m,
+                k: *k,
+                seed: *seed,
+            },
+        }
+    }
+
     /// Serializes into a complete frame (header included), ready for one
     /// `write_all` — single-syscall sends keep loopback latency flat.
     ///
     /// Fails with [`ProtoError::Oversized`] when a key, batch, or payload
     /// cannot be described by its `u32` length field.
     pub fn encode(&self) -> Result<Vec<u8>, ProtoError> {
-        match self {
-            Request::Ping => frame(OP_PING, &[]),
-            Request::Insert { count, key } => {
-                let mut p = Vec::with_capacity(8 + key.len());
-                p.extend_from_slice(&count.to_le_bytes());
-                p.extend_from_slice(key);
-                frame(OP_INSERT, &p)
-            }
-            Request::Remove { count, key } => {
-                let mut p = Vec::with_capacity(8 + key.len());
-                p.extend_from_slice(&count.to_le_bytes());
-                p.extend_from_slice(key);
-                frame(OP_REMOVE, &p)
-            }
-            Request::Estimate { key } => frame(OP_ESTIMATE, key),
-            Request::InsertBatch { keys } => frame(OP_INSERT_BATCH, &encode_key_batch(keys)?),
-            Request::EstimateBatch { keys } => frame(OP_ESTIMATE_BATCH, &encode_key_batch(keys)?),
-            Request::Merge { envelope } => frame(OP_MERGE, envelope),
-            Request::Snapshot => frame(OP_SNAPSHOT, &[]),
-            Request::Stats => frame(OP_STATS, &[]),
-            Request::Shutdown => frame(OP_SHUTDOWN, &[]),
-            Request::Hello { m, k, seed } => frame(OP_HELLO, &encode_geometry(*m, *k, *seed)),
-            Request::JoinPlan {
-                peer,
-                threshold,
-                keys,
-            } => {
-                let mut p = Vec::with_capacity(8 + 4 + peer.len());
-                p.extend_from_slice(&threshold.to_le_bytes());
-                put_lstring(&mut p, peer.as_bytes())?;
-                p.extend_from_slice(&encode_key_batch(keys)?);
-                frame(OP_JOIN_PLAN, &p)
-            }
-            Request::JoinFilter { m, k, seed } => {
-                frame(OP_JOIN_FILTER, &encode_geometry(*m, *k, *seed))
-            }
-        }
+        self.view().encode()
     }
 
     /// Parses the body of a frame whose header the transport has already
-    /// consumed and length-checked.
+    /// consumed and length-checked ([`RequestRef::decode`], then copied
+    /// out of `payload`).
     pub fn decode(opcode: u8, payload: &[u8]) -> Result<Self, ProtoError> {
+        RequestRef::decode(opcode, payload).map(RequestRef::into_owned)
+    }
+
+    /// The metric label for this command (see `metrics.rs`).
+    pub fn op_name(&self) -> &'static str {
+        op_name(self.opcode())
+    }
+
+    /// Whether the command mutates the sketch (refused while draining).
+    pub fn is_mutation(&self) -> bool {
+        is_mutation_op(self.opcode())
+    }
+
+    fn opcode(&self) -> u8 {
+        match self {
+            Request::Ping => OP_PING,
+            Request::Insert { .. } => OP_INSERT,
+            Request::Remove { .. } => OP_REMOVE,
+            Request::Estimate { .. } => OP_ESTIMATE,
+            Request::InsertBatch { .. } => OP_INSERT_BATCH,
+            Request::EstimateBatch { .. } => OP_ESTIMATE_BATCH,
+            Request::Merge { .. } => OP_MERGE,
+            Request::Snapshot => OP_SNAPSHOT,
+            Request::Stats => OP_STATS,
+            Request::Shutdown => OP_SHUTDOWN,
+            Request::Hello { .. } => OP_HELLO,
+            Request::JoinPlan { .. } => OP_JOIN_PLAN,
+            Request::JoinFilter { .. } => OP_JOIN_FILTER,
+        }
+    }
+}
+
+impl<'a> RequestRef<'a> {
+    /// Parses the body of a frame whose header the transport has already
+    /// consumed and length-checked. Keys, the MERGE envelope and the
+    /// JOIN_PLAN peer borrow `payload`.
+    pub fn decode(opcode: u8, payload: &'a [u8]) -> Result<Self, ProtoError> {
         let mut s = Scan::new(payload);
         let req = match opcode {
-            OP_PING => Request::Ping,
-            OP_INSERT => Request::Insert {
+            OP_PING => RequestRef::Ping,
+            OP_INSERT => RequestRef::Insert {
                 count: s.u64()?,
-                key: s.bytes(s.rest.len())?.to_vec(),
+                key: s.rest(),
             },
-            OP_REMOVE => Request::Remove {
+            OP_REMOVE => RequestRef::Remove {
                 count: s.u64()?,
-                key: s.bytes(s.rest.len())?.to_vec(),
+                key: s.rest(),
             },
-            OP_ESTIMATE => Request::Estimate {
-                key: s.bytes(s.rest.len())?.to_vec(),
-            },
-            OP_INSERT_BATCH => Request::InsertBatch {
+            OP_ESTIMATE => RequestRef::Estimate { key: s.rest() },
+            OP_INSERT_BATCH => RequestRef::InsertBatch {
                 keys: s.key_batch()?,
             },
-            OP_ESTIMATE_BATCH => Request::EstimateBatch {
+            OP_ESTIMATE_BATCH => RequestRef::EstimateBatch {
                 keys: s.key_batch()?,
             },
-            OP_MERGE => Request::Merge {
-                envelope: s.bytes(s.rest.len())?.to_vec(),
-            },
-            OP_SNAPSHOT => Request::Snapshot,
-            OP_STATS => Request::Stats,
-            OP_SHUTDOWN => Request::Shutdown,
-            OP_HELLO => Request::Hello {
+            OP_MERGE => RequestRef::Merge { envelope: s.rest() },
+            OP_SNAPSHOT => RequestRef::Snapshot,
+            OP_STATS => RequestRef::Stats,
+            OP_SHUTDOWN => RequestRef::Shutdown,
+            OP_HELLO => RequestRef::Hello {
                 m: s.u64()?,
                 k: s.u64()?,
                 seed: s.u64()?,
             },
-            OP_JOIN_PLAN => Request::JoinPlan {
+            OP_JOIN_PLAN => RequestRef::JoinPlan {
                 threshold: s.u64()?,
-                peer: String::from_utf8(s.lstring()?.to_vec())
+                peer: std::str::from_utf8(s.lstring()?)
                     .map_err(|_| ProtoError::Malformed("join peer address is not UTF-8"))?,
                 keys: s.key_batch()?,
             },
-            OP_JOIN_FILTER => Request::JoinFilter {
+            OP_JOIN_FILTER => RequestRef::JoinFilter {
                 m: s.u64()?,
                 k: s.u64()?,
                 seed: s.u64()?,
@@ -470,35 +608,158 @@ impl Request {
         Ok(req)
     }
 
+    /// Copies the borrowed fields out into an owned [`Request`].
+    pub fn into_owned(self) -> Request {
+        let owned_keys = |keys: Vec<&[u8]>| keys.into_iter().map(<[u8]>::to_vec).collect();
+        match self {
+            RequestRef::Ping => Request::Ping,
+            RequestRef::Insert { count, key } => Request::Insert {
+                count,
+                key: key.to_vec(),
+            },
+            RequestRef::Remove { count, key } => Request::Remove {
+                count,
+                key: key.to_vec(),
+            },
+            RequestRef::Estimate { key } => Request::Estimate { key: key.to_vec() },
+            RequestRef::InsertBatch { keys } => Request::InsertBatch {
+                keys: owned_keys(keys),
+            },
+            RequestRef::EstimateBatch { keys } => Request::EstimateBatch {
+                keys: owned_keys(keys),
+            },
+            RequestRef::Merge { envelope } => Request::Merge {
+                envelope: envelope.to_vec(),
+            },
+            RequestRef::Snapshot => Request::Snapshot,
+            RequestRef::Stats => Request::Stats,
+            RequestRef::Shutdown => Request::Shutdown,
+            RequestRef::Hello { m, k, seed } => Request::Hello { m, k, seed },
+            RequestRef::JoinPlan {
+                peer,
+                threshold,
+                keys,
+            } => Request::JoinPlan {
+                peer: peer.to_string(),
+                threshold,
+                keys: owned_keys(keys),
+            },
+            RequestRef::JoinFilter { m, k, seed } => Request::JoinFilter { m, k, seed },
+        }
+    }
+
+    /// Serializes into a complete frame (header included); see
+    /// [`Request::encode`].
+    pub fn encode(&self) -> Result<Vec<u8>, ProtoError> {
+        let mut out = Vec::new();
+        self.encode_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// Appends the complete frame to `out`, reserving its exact size once.
+    /// On error (a field too large for its `u32` length) `out` is left as
+    /// it was.
+    pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), ProtoError> {
+        let payload_len = match self {
+            RequestRef::Ping | RequestRef::Snapshot | RequestRef::Stats | RequestRef::Shutdown => 0,
+            RequestRef::Insert { key, .. } | RequestRef::Remove { key, .. } => 8 + key.len(),
+            RequestRef::Estimate { key } => key.len(),
+            RequestRef::InsertBatch { keys } | RequestRef::EstimateBatch { keys } => {
+                key_batch_len(keys)
+            }
+            RequestRef::Merge { envelope } => envelope.len(),
+            RequestRef::Hello { .. } | RequestRef::JoinFilter { .. } => 24,
+            RequestRef::JoinPlan { peer, keys, .. } => 8 + 4 + peer.len() + key_batch_len(keys),
+        };
+        put_frame(out, self.opcode(), payload_len, |p| {
+            match self {
+                RequestRef::Ping
+                | RequestRef::Snapshot
+                | RequestRef::Stats
+                | RequestRef::Shutdown => {}
+                RequestRef::Insert { count, key } | RequestRef::Remove { count, key } => {
+                    p.extend_from_slice(&count.to_le_bytes());
+                    p.extend_from_slice(key);
+                }
+                RequestRef::Estimate { key } => p.extend_from_slice(key),
+                RequestRef::InsertBatch { keys } | RequestRef::EstimateBatch { keys } => {
+                    put_key_batch(p, keys)?;
+                }
+                RequestRef::Merge { envelope } => p.extend_from_slice(envelope),
+                RequestRef::Hello { m, k, seed } | RequestRef::JoinFilter { m, k, seed } => {
+                    p.extend_from_slice(&encode_geometry(*m, *k, *seed));
+                }
+                RequestRef::JoinPlan {
+                    peer,
+                    threshold,
+                    keys,
+                } => {
+                    p.extend_from_slice(&threshold.to_le_bytes());
+                    put_lstring(p, peer.as_bytes())?;
+                    put_key_batch(p, keys)?;
+                }
+            }
+            Ok(())
+        })
+    }
+
     /// The metric label for this command (see `metrics.rs`).
     pub fn op_name(&self) -> &'static str {
-        match self {
-            Request::Ping => "ping",
-            Request::Insert { .. } => "insert",
-            Request::Remove { .. } => "remove",
-            Request::Estimate { .. } => "estimate",
-            Request::InsertBatch { .. } => "insert_batch",
-            Request::EstimateBatch { .. } => "estimate_batch",
-            Request::Merge { .. } => "merge",
-            Request::Snapshot => "snapshot",
-            Request::Stats => "stats",
-            Request::Shutdown => "shutdown",
-            Request::Hello { .. } => "hello",
-            Request::JoinPlan { .. } => "join_plan",
-            Request::JoinFilter { .. } => "join_filter",
-        }
+        op_name(self.opcode())
     }
 
     /// Whether the command mutates the sketch (refused while draining).
     pub fn is_mutation(&self) -> bool {
-        matches!(
-            self,
-            Request::Insert { .. }
-                | Request::Remove { .. }
-                | Request::InsertBatch { .. }
-                | Request::Merge { .. }
-        )
+        is_mutation_op(self.opcode())
     }
+
+    fn opcode(&self) -> u8 {
+        match self {
+            RequestRef::Ping => OP_PING,
+            RequestRef::Insert { .. } => OP_INSERT,
+            RequestRef::Remove { .. } => OP_REMOVE,
+            RequestRef::Estimate { .. } => OP_ESTIMATE,
+            RequestRef::InsertBatch { .. } => OP_INSERT_BATCH,
+            RequestRef::EstimateBatch { .. } => OP_ESTIMATE_BATCH,
+            RequestRef::Merge { .. } => OP_MERGE,
+            RequestRef::Snapshot => OP_SNAPSHOT,
+            RequestRef::Stats => OP_STATS,
+            RequestRef::Shutdown => OP_SHUTDOWN,
+            RequestRef::Hello { .. } => OP_HELLO,
+            RequestRef::JoinPlan { .. } => OP_JOIN_PLAN,
+            RequestRef::JoinFilter { .. } => OP_JOIN_FILTER,
+        }
+    }
+}
+
+/// Borrows owned keys as the slices a [`RequestRef`] batch holds.
+pub(crate) fn borrow_keys<K: AsRef<[u8]>>(keys: &[K]) -> Vec<&[u8]> {
+    keys.iter().map(AsRef::as_ref).collect()
+}
+
+/// The metric label for a request opcode, as `Request::opcode` or
+/// `RequestRef::opcode` returns it (so the last arm is JOIN_FILTER).
+fn op_name(opcode: u8) -> &'static str {
+    match opcode {
+        OP_PING => "ping",
+        OP_INSERT => "insert",
+        OP_REMOVE => "remove",
+        OP_ESTIMATE => "estimate",
+        OP_INSERT_BATCH => "insert_batch",
+        OP_ESTIMATE_BATCH => "estimate_batch",
+        OP_MERGE => "merge",
+        OP_SNAPSHOT => "snapshot",
+        OP_STATS => "stats",
+        OP_SHUTDOWN => "shutdown",
+        OP_HELLO => "hello",
+        OP_JOIN_PLAN => "join_plan",
+        _ => "join_filter",
+    }
+}
+
+/// Whether a request opcode mutates the sketch.
+fn is_mutation_op(opcode: u8) -> bool {
+    matches!(opcode, OP_INSERT | OP_REMOVE | OP_INSERT_BATCH | OP_MERGE)
 }
 
 /// The 24-byte `(m, k, seed)` payload shared by HELLO and JOIN_FILTER.
@@ -510,15 +771,18 @@ fn encode_geometry(m: u64, k: u64, seed: u64) -> [u8; 24] {
     p
 }
 
-fn encode_key_batch(keys: &[Vec<u8>]) -> Result<Vec<u8>, ProtoError> {
-    let total: usize = keys.iter().map(|k| 4 + k.len()).sum();
-    let mut p = Vec::with_capacity(4 + total);
+/// Wire size of a `keys` batch: the count, then each length-prefixed key.
+fn key_batch_len(keys: &[&[u8]]) -> usize {
+    4 + keys.iter().map(|k| 4 + k.len()).sum::<usize>()
+}
+
+fn put_key_batch(p: &mut Vec<u8>, keys: &[&[u8]]) -> Result<(), ProtoError> {
     let n = framing::u32_len(keys.len())?;
     p.extend_from_slice(&n.to_le_bytes());
     for key in keys {
-        put_lstring(&mut p, key)?;
+        put_lstring(p, key)?;
     }
-    Ok(p)
+    Ok(())
 }
 
 impl Response {
@@ -527,27 +791,43 @@ impl Response {
     /// Fails with [`ProtoError::Oversized`] when the body cannot be
     /// described by its `u32` length field.
     pub fn encode(&self) -> Result<Vec<u8>, ProtoError> {
-        match self {
-            Response::Ok => frame(OP_OK, &[]),
-            Response::Value(v) => frame(OP_VALUE, &v.to_le_bytes()),
-            Response::Values(vs) => {
-                let mut p = Vec::with_capacity(4 + vs.len() * 8);
-                let n = framing::u32_len(vs.len())?;
-                p.extend_from_slice(&n.to_le_bytes());
-                for v in vs {
-                    p.extend_from_slice(&v.to_le_bytes());
+        let mut out = Vec::new();
+        self.encode_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// Appends the complete frame to `out`, reserving its exact size once;
+    /// into a buffer that already has room it allocates nothing. On error
+    /// `out` is left as it was, so frames appended before it stay framed.
+    pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), ProtoError> {
+        let (opcode, payload_len) = match self {
+            Response::Ok => (OP_OK, 0),
+            Response::Value(_) => (OP_VALUE, 8),
+            Response::Values(vs) => (OP_VALUES, 4 + 8 * vs.len()),
+            Response::Frame(bytes) => (OP_FRAME, bytes.len()),
+            Response::Text(text) => (OP_TEXT, text.len()),
+            Response::Error { message, .. } => (OP_ERROR, 1 + message.len()),
+        };
+        put_frame(out, opcode, payload_len, |p| {
+            match self {
+                Response::Ok => {}
+                Response::Value(v) => p.extend_from_slice(&v.to_le_bytes()),
+                Response::Values(vs) => {
+                    let n = framing::u32_len(vs.len())?;
+                    p.extend_from_slice(&n.to_le_bytes());
+                    for v in vs {
+                        p.extend_from_slice(&v.to_le_bytes());
+                    }
                 }
-                frame(OP_VALUES, &p)
+                Response::Frame(bytes) => p.extend_from_slice(bytes),
+                Response::Text(text) => p.extend_from_slice(text.as_bytes()),
+                Response::Error { code, message } => {
+                    p.push(code.to_byte());
+                    p.extend_from_slice(message.as_bytes());
+                }
             }
-            Response::Frame(bytes) => frame(OP_FRAME, bytes),
-            Response::Text(text) => frame(OP_TEXT, text.as_bytes()),
-            Response::Error { code, message } => {
-                let mut p = Vec::with_capacity(1 + message.len());
-                p.push(code.to_byte());
-                p.extend_from_slice(message.as_bytes());
-                frame(OP_ERROR, &p)
-            }
-        }
+            Ok(())
+        })
     }
 
     /// Parses the body of a response frame.
@@ -597,18 +877,16 @@ impl WireEncode for Request {
     /// type, so generic framing code can treat requests, WAL records and
     /// filter envelopes uniformly.
     fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), EncodeError> {
-        let bytes = self.encode().map_err(|_| EncodeError::Oversized)?;
-        out.extend_from_slice(&bytes);
-        Ok(())
+        self.view()
+            .encode_into(out)
+            .map_err(|_| EncodeError::Oversized)
     }
 }
 
 impl WireEncode for Response {
-    /// [`WireEncode`] arm of [`Response::encode`].
+    /// [`WireEncode`] arm of [`Response::encode_into`].
     fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), EncodeError> {
-        let bytes = self.encode().map_err(|_| EncodeError::Oversized)?;
-        out.extend_from_slice(&bytes);
-        Ok(())
+        Response::encode_into(self, out).map_err(|_| EncodeError::Oversized)
     }
 }
 
@@ -639,6 +917,14 @@ mod tests {
         assert_eq!(len, bytes.len() - 4, "header length must match body");
         let back = Request::decode(bytes[4], &bytes[5..]).expect("decode");
         assert_eq!(back, req);
+        // The borrowed view is the same codec: it decodes to the owned
+        // request's view, and appends the same bytes after earlier ones.
+        let view = RequestRef::decode(bytes[4], &bytes[5..]).expect("decode view");
+        assert_eq!(view, req.view());
+        let mut out = b"earlier".to_vec();
+        view.encode_into(&mut out).expect("encode view");
+        assert_eq!(&out[..7], b"earlier");
+        assert_eq!(&out[7..], &bytes[..]);
     }
 
     fn roundtrip_response(resp: Response) {
@@ -647,6 +933,10 @@ mod tests {
         assert_eq!(len, bytes.len() - 4);
         let back = Response::decode(bytes[4], &bytes[5..]).expect("decode");
         assert_eq!(back, resp);
+        let mut out = b"earlier".to_vec();
+        resp.encode_into(&mut out).expect("encode in place");
+        assert_eq!(&out[..7], b"earlier");
+        assert_eq!(&out[7..], &bytes[..]);
     }
 
     #[test]

@@ -135,6 +135,9 @@ pub(crate) struct Connection {
     pub interest: u32,
     /// Whether a timer wheel entry is live for this generation.
     pub timer_armed: bool,
+    /// Whether opening this connection raised `sbfd_connections_active`
+    /// (telemetry was on), so closing it must lower the gauge again.
+    pub gauged: bool,
 }
 
 impl Connection {
@@ -153,6 +156,7 @@ impl Connection {
             close_after_flush: false,
             interest: 0,
             timer_armed: false,
+            gauged: false,
         }
     }
 

@@ -76,9 +76,9 @@ use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::time::{Duration, Instant};
 
-use crate::metrics;
+use crate::metrics::{self, server_metrics};
 use crate::pool::WorkerPool;
-use crate::proto::{is_point_op, ErrorCode, ProtoError, Request, Response};
+use crate::proto::{is_point_op, ErrorCode, ProtoError, RequestRef, Response};
 use crate::server::SharedState;
 use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::{lock_unpoisoned, Arc, Mutex};
@@ -333,9 +333,16 @@ impl Reactor {
                         continue;
                     }
                     c.interest = interest;
+                    // The gauge is process-wide (every reactor in the
+                    // process adds its own ±1), and a connection lowers it
+                    // on close only if it raised it here.
+                    metrics::on(|m| {
+                        m.connections.inc();
+                        m.connections_active.adjust(1.0);
+                        c.gauged = true;
+                    });
                     self.conns[idx] = Some(c);
                     self.active += 1;
-                    self.state.connection_started();
                     self.finish_or_keep(idx); // arms the idle timer
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
@@ -648,10 +655,12 @@ impl Reactor {
             return;
         };
         let _ = self.epoll.delete(c.stream.as_raw_fd());
+        if c.gauged {
+            server_metrics().connections_active.adjust(-1.0);
+        }
         drop(c);
         self.free.push(idx);
         self.active -= 1;
-        self.state.connection_finished();
         if !self.listener_armed
             && !self.state.draining()
             && self.active < self.cfg.max_connections
@@ -709,17 +718,19 @@ fn worker_process(
 ) {
     let mut bytes = Vec::new();
     let mut close = false;
-    for item in items {
+    for item in &items {
         let started = Instant::now();
-        let resp = match &item {
+        let answered;
+        let resp = match item {
             FrameItem::Body(body) => {
                 let Some((&opcode, payload)) = body.split_first() else {
                     continue; // unreachable: the splitter never emits an empty body
                 };
-                match Request::decode(opcode, payload) {
+                // Decoded in place: the request's keys borrow `body`.
+                answered = match RequestRef::decode(opcode, payload) {
                     Ok(req) => {
                         metrics::on(|m| m.requests_for(req.op_name()).inc());
-                        if matches!(req, Request::Shutdown) {
+                        if matches!(req, RequestRef::Shutdown) {
                             close = true;
                         }
                         // `body` is the frame minus its length prefix —
@@ -738,27 +749,30 @@ fn worker_process(
                             message: e.to_string(),
                         }
                     }
-                }
+                };
+                &answered
             }
-            FrameItem::Reject(resp) => resp.clone(),
+            FrameItem::Reject(resp) => resp,
         };
         if matches!(resp, Response::Error { .. }) {
             metrics::on(|m| m.errors.inc());
         }
-        match resp.encode() {
-            Ok(frame) => bytes.extend_from_slice(&frame),
-            Err(e) => {
-                // The response body cannot fit its u32 length field.
-                // Degrade to a small typed error so the peer stays framed;
-                // this tiny frame itself always encodes.
-                let fallback = Response::Error {
-                    code: ErrorCode::Oversized,
-                    message: format!("response could not be framed: {e}"),
-                };
-                match fallback.encode() {
-                    Ok(frame) => bytes.extend_from_slice(&frame),
-                    Err(_) => close = true,
-                }
+        // Encoded straight into the job's output. A response that cannot
+        // be framed leaves `bytes` ending where its frame would have
+        // started (`encode_into` truncates on error), so the fallback
+        // below follows the previous frame and the peer stays framed.
+        let frame_start = bytes.len();
+        if let Err(e) = resp.encode_into(&mut bytes) {
+            debug_assert_eq!(bytes.len(), frame_start);
+            // The response body cannot fit its u32 length field. Degrade
+            // to a small typed error; this tiny frame itself always
+            // encodes.
+            let fallback = Response::Error {
+                code: ErrorCode::Oversized,
+                message: format!("response could not be framed: {e}"),
+            };
+            if fallback.encode_into(&mut bytes).is_err() {
+                close = true;
             }
         }
         metrics::on(|m| {

@@ -31,7 +31,7 @@ use sbf_db::logrec::{LogScanner, TailStatus};
 use sbf_db::wire::FilterEnvelope;
 
 use crate::metrics;
-use crate::proto::Request;
+use crate::proto::RequestRef;
 use crate::server::SharedState;
 use crate::wal::{list_logs, SNAPSHOT_FILE, TMP_SUFFIX};
 
@@ -150,7 +150,7 @@ pub fn recover(dir: &Path, state: &SharedState) -> Result<RecoveryReport, Recove
         for payload in scan.by_ref() {
             let replayed = payload
                 .split_first()
-                .and_then(|(&opcode, body)| Request::decode(opcode, body).ok())
+                .and_then(|(&opcode, body)| RequestRef::decode(opcode, body).ok())
                 .is_some_and(|req| req.is_mutation() && state.apply_replay(&req));
             if replayed {
                 report.records_replayed += 1;
@@ -245,7 +245,7 @@ pub fn inspect(dir: &Path, max_record: usize) -> io::Result<WalInspection> {
             records += 1;
             let name = payload
                 .split_first()
-                .and_then(|(&opcode, body)| Request::decode(opcode, body).ok())
+                .and_then(|(&opcode, body)| RequestRef::decode(opcode, body).ok())
                 .map_or("undecodable", |req| req.op_name());
             match ops.iter_mut().find(|(n, _)| n == name) {
                 Some((_, c)) => *c += 1,

@@ -10,7 +10,10 @@
 //!   socket-driven inserts/removes (keys route to their owning shard, so
 //!   concurrent workers rarely contend), and
 //! - the *remote* filter — a plain [`MsSbf`] behind an `RwLock`,
-//!   accumulating §5 unions of client-shipped counter frames.
+//!   accumulating §5 unions of client-shipped counter frames. It is
+//!   absent (`None`) until the first MERGE or snapshot restore installs
+//!   one, and every read skips it while it is: a node that never merged
+//!   answers from the live sketch alone.
 //!
 //! MERGE mass cannot go into the sharded sketch: a key's estimate there
 //! reads only its owning shard, while an external frame carries mass for
@@ -21,7 +24,13 @@
 //! its side, so the sum upper-bounds the true total frequency.
 //! SNAPSHOT returns the counter-wise sum of both (the §5 union), which is
 //! exactly what a client would get by merging the two envelopes itself.
+//!
+//! Presence, not mass, decides whether the remote filter is read: a
+//! merged or restored filter has its counters set directly, so its
+//! `total_count()` is 0 however much mass it carries, and skipping it on
+//! that basis would break `f̂ ≥ f`.
 
+use std::cell::RefCell;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
@@ -34,10 +43,10 @@ use crate::client::{ClientError, SbfClient};
 use crate::cluster::repl::Replicator;
 use crate::metrics;
 use crate::pool::WorkerPool;
-use crate::proto::{self, ErrorCode, Request, Response, MAX_FRAME_DEFAULT};
+use crate::proto::{self, ErrorCode, Request, RequestRef, Response, MAX_FRAME_DEFAULT};
 use crate::reactor::{Reactor, ReactorConfig, Waker};
 use crate::recovery::{self, RecoveryError, RecoveryReport};
-use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::{lock_unpoisoned, Arc, OnceLock, RwLock};
 use crate::wal::{self, Wal};
 
@@ -371,7 +380,7 @@ fn rehydrate(env: &FilterEnvelope) -> MsSbf {
 /// the wire body (`opcode + payload`, no length prefix) — taken verbatim
 /// from the transport when it still holds the frame, re-encoded otherwise
 /// (embedded callers going through [`SharedState::handle`]).
-fn log_mutation(wal: &Wal, req: &Request, raw_body: Option<&[u8]>) -> io::Result<()> {
+fn log_mutation(wal: &Wal, req: &RequestRef<'_>, raw_body: Option<&[u8]>) -> io::Result<()> {
     match raw_body {
         Some(body) => wal.append(body),
         None => {
@@ -390,16 +399,14 @@ pub struct SharedState {
     /// Socket-driven mass, sharded for concurrent ingest.
     sketch: ShardedSketch<MsSbf>,
     /// Client-shipped §5 union mass (see the module docs for why this is
-    /// a separate whole-range filter).
-    remote: RwLock<MsSbf>,
+    /// a separate whole-range filter); `None` until the first MERGE or
+    /// snapshot restore.
+    remote: RwLock<Option<MsSbf>>,
     /// Set once by SHUTDOWN (or [`ServerHandle::shutdown`]); never cleared.
     shutdown: AtomicBool,
     /// Crash-simulation flag: drain skips the final checkpoint/snapshot
     /// flush, leaving exactly the on-disk state a SIGKILL would.
     crash: AtomicBool,
-    /// Connections currently registered with the reactor (feeds the
-    /// active gauge).
-    active: AtomicUsize,
     /// The write-ahead log, attached after recovery when configured.
     wal: OnceLock<Arc<Wal>>,
     /// The replica shipper, attached at bind when `replicate_to` is set.
@@ -423,10 +430,9 @@ impl SharedState {
             sketch: ShardedSketch::with_shards(config.shards.max(1), |_| {
                 MsSbf::new(m, k, config.seed)
             }),
-            remote: RwLock::new(MsSbf::new(m, k, config.seed)),
+            remote: RwLock::new(None),
             shutdown: AtomicBool::new(false),
             crash: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
             wal: OnceLock::new(),
             replicator: OnceLock::new(),
             reactor_waker: OnceLock::new(),
@@ -506,36 +512,56 @@ impl SharedState {
     /// Unions an already-validated envelope into the remote filter
     /// (recovery's snapshot restore; same mass placement as MERGE).
     pub(crate) fn absorb_envelope(&self, env: &FilterEnvelope) {
-        let incoming = rehydrate(env);
-        lock_unpoisoned(self.remote.write()).union_assign(&incoming);
+        self.union_remote(rehydrate(env));
+    }
+
+    /// Adds `incoming` to the remote filter, installing it as the remote
+    /// filter when there is none yet (no union into an empty filter).
+    fn union_remote(&self, incoming: MsSbf) {
+        let mut remote = lock_unpoisoned(self.remote.write());
+        match remote.as_mut() {
+            Some(r) => r.union_assign(&incoming),
+            None => *remote = Some(incoming),
+        }
     }
 
     /// Re-applies one logged mutation during replay, without re-logging
     /// and without the drain gate. Returns whether it applied; a remove
     /// that would underflow is skipped (skipping only over-counts, which
     /// keeps estimates one-sided).
-    pub(crate) fn apply_replay(&self, req: &Request) -> bool {
+    pub(crate) fn apply_replay(&self, req: &RequestRef<'_>) -> bool {
         matches!(self.apply(req), Response::Ok)
-    }
-
-    pub(crate) fn connection_started(&self) {
-        let now = self.active.fetch_add(1, Ordering::AcqRel) + 1;
-        metrics::on(|m| {
-            m.connections.inc();
-            m.connections_active.set_u64(now as u64);
-        });
-    }
-
-    pub(crate) fn connection_finished(&self) {
-        let now = self.active.fetch_sub(1, Ordering::AcqRel) - 1;
-        metrics::on(|m| m.connections_active.set_u64(now as u64));
     }
 
     /// One-sided estimate across both filters (see the module docs).
     fn estimate_one(&self, key: &[u8]) -> u64 {
         let live = self.sketch.estimate(key);
-        let remote = lock_unpoisoned(self.remote.read()).estimate(key);
-        live.saturating_add(remote)
+        match lock_unpoisoned(self.remote.read()).as_ref() {
+            Some(remote) => live.saturating_add(remote.estimate(key)),
+            None => live,
+        }
+    }
+
+    /// [`SharedState::estimate_one`] for every key, in order: one batched
+    /// probe of the live sketch, then — only if a remote filter exists —
+    /// one batched probe of it into this thread's reused scratch buffer.
+    fn estimate_batch(&self, keys: &[&[u8]]) -> Vec<u64> {
+        thread_local! {
+            static REMOTE_ANSWERS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+        }
+        let mut out = Vec::with_capacity(keys.len());
+        self.sketch.estimate_batch_into(keys, &mut out);
+        let remote = lock_unpoisoned(self.remote.read());
+        if let Some(remote) = remote.as_ref() {
+            REMOTE_ANSWERS.with(|scratch| {
+                let mut scratch = scratch.borrow_mut();
+                remote.estimate_batch_into(keys, &mut scratch);
+                for (v, r) in out.iter_mut().zip(scratch.iter()) {
+                    *v = v.saturating_add(*r);
+                }
+            });
+        }
+        out
     }
 
     /// The §5 union of both filters — live shards plus the remote mass —
@@ -543,8 +569,9 @@ impl SharedState {
     /// answer from).
     fn merged_filter(&self) -> MsSbf {
         let mut merged = (*self.sketch.snapshot_cached()).clone();
-        let remote = lock_unpoisoned(self.remote.read());
-        merged.union_assign(&remote);
+        if let Some(remote) = lock_unpoisoned(self.remote.read()).as_ref() {
+            merged.union_assign(remote);
+        }
         merged
     }
 
@@ -563,12 +590,6 @@ impl SharedState {
         .encode()
     }
 
-    /// Total mass held (socket inserts plus merged remote mass).
-    pub fn total_count(&self) -> u64 {
-        let remote = lock_unpoisoned(self.remote.read()).core().total_count();
-        self.sketch.total_count().saturating_add(remote)
-    }
-
     /// Applies one decoded request and produces its response. Protocol
     /// errors never reach here — `conn` answers those itself — so every
     /// arm speaks for a well-formed command.
@@ -579,13 +600,14 @@ impl SharedState {
     /// failed append is answered with [`ErrorCode::Io`] — the mutation is
     /// in memory but not durable, so it must not be acknowledged.
     pub fn handle(&self, req: &Request) -> Response {
-        self.handle_framed(req, None)
+        self.handle_framed(&req.view(), None)
     }
 
-    /// [`SharedState::handle`] with the request's already-encoded frame
-    /// body (`opcode + payload`, no length prefix) when the transport has
-    /// it — the WAL logs those bytes verbatim instead of re-encoding.
-    pub(crate) fn handle_framed(&self, req: &Request, raw_body: Option<&[u8]>) -> Response {
+    /// [`SharedState::handle`] for a borrowed request, with its
+    /// already-encoded frame body (`opcode + payload`, no length prefix)
+    /// when the transport has it — the WAL logs those bytes verbatim
+    /// instead of re-encoding.
+    pub(crate) fn handle_framed(&self, req: &RequestRef<'_>, raw_body: Option<&[u8]>) -> Response {
         if req.is_mutation() && self.draining() {
             return Response::Error {
                 code: ErrorCode::Draining,
@@ -624,56 +646,50 @@ impl SharedState {
     /// The pure dispatch: applies `req` to the in-memory state. Shared by
     /// the serving path (which adds drain gating + WAL logging around it)
     /// and WAL replay (which must skip both).
-    fn apply(&self, req: &Request) -> Response {
+    fn apply(&self, req: &RequestRef<'_>) -> Response {
         match req {
-            Request::Ping => Response::Ok,
-            Request::Insert { count, key } => {
-                self.sketch.insert_by(key.as_slice(), *count);
+            RequestRef::Ping => Response::Ok,
+            RequestRef::Insert { count, key } => {
+                self.sketch.insert_by(*key, *count);
                 Response::Ok
             }
-            Request::Remove { count, key } => match self.sketch.remove_by(key.as_slice(), *count) {
+            RequestRef::Remove { count, key } => match self.sketch.remove_by(*key, *count) {
                 Ok(()) => Response::Ok,
                 Err(e) => Response::Error {
                     code: ErrorCode::Underflow,
                     message: e.to_string(),
                 },
             },
-            Request::Estimate { key } => Response::Value(self.estimate_one(key)),
-            Request::InsertBatch { keys } => {
+            RequestRef::Estimate { key } => Response::Value(self.estimate_one(key)),
+            RequestRef::InsertBatch { keys } => {
                 metrics::on(|m| m.batch_keys.add(keys.len() as u64));
                 self.sketch.insert_batch(keys);
                 Response::Ok
             }
-            Request::EstimateBatch { keys } => {
+            RequestRef::EstimateBatch { keys } => {
                 metrics::on(|m| m.batch_keys.add(keys.len() as u64));
-                let mut out = Vec::new();
-                self.sketch.estimate_batch_into(keys, &mut out);
-                let remote = lock_unpoisoned(self.remote.read());
-                for (v, key) in out.iter_mut().zip(keys) {
-                    *v = v.saturating_add(remote.estimate(key));
-                }
-                Response::Values(out)
+                Response::Values(self.estimate_batch(keys))
             }
-            Request::Merge { envelope } => self.apply_merge(envelope),
-            Request::Hello { m, k, seed } => match self.check_geometry(*m, *k, *seed) {
+            RequestRef::Merge { envelope } => self.apply_merge(envelope),
+            RequestRef::Hello { m, k, seed } => match self.check_geometry(*m, *k, *seed) {
                 Ok(()) => Response::Ok,
                 Err(resp) => resp,
             },
-            Request::JoinFilter { m, k, seed } => match self.check_geometry(*m, *k, *seed) {
+            RequestRef::JoinFilter { m, k, seed } => match self.check_geometry(*m, *k, *seed) {
                 Ok(()) => Response::Frame(self.snapshot_envelope()),
                 Err(resp) => resp,
             },
-            Request::JoinPlan {
+            RequestRef::JoinPlan {
                 peer,
                 threshold,
                 keys,
             } => self.apply_join_plan(peer, *threshold, keys),
-            Request::Snapshot => Response::Frame(self.snapshot_envelope()),
-            Request::Stats => {
+            RequestRef::Snapshot => Response::Frame(self.snapshot_envelope()),
+            RequestRef::Stats => {
                 self.sketch.publish_metrics();
                 Response::Text(sbf_telemetry::global().snapshot().to_prometheus())
             }
-            Request::Shutdown => {
+            RequestRef::Shutdown => {
                 self.begin_shutdown();
                 Response::Ok
             }
@@ -704,8 +720,7 @@ impl SharedState {
         // Any FilterKind is accepted: MS and MI frames are both plain
         // counter vectors, and counter addition keeps estimates one-sided
         // regardless of which insertion policy built them.
-        let incoming = rehydrate(&env);
-        lock_unpoisoned(self.remote.write()).union_assign(&incoming);
+        self.union_remote(rehydrate(&env));
         Response::Ok
     }
 
@@ -738,7 +753,7 @@ impl SharedState {
     /// on the true joined frequency (each factor is one-sided), but tight
     /// enough that with sane geometry the reported group set matches the
     /// exact join.
-    fn apply_join_plan(&self, peer: &str, threshold: u64, keys: &[Vec<u8>]) -> Response {
+    fn apply_join_plan(&self, peer: &str, threshold: u64, keys: &[&[u8]]) -> Response {
         let unavailable = |message: String| Response::Error {
             code: ErrorCode::Unavailable,
             message,
@@ -1097,6 +1112,52 @@ mod tests {
             Response::Value(v) => assert!(v >= 7, "merged mass must be visible: got {v}"),
             other => panic!("unexpected response {other:?}"),
         }
+        // The batched path probes the remote filter too, at every position
+        // of the batch. The merged filter's counters were set directly, so
+        // its `total_count()` is 0 — presence, not mass, must decide.
+        let remote_total = lock_unpoisoned(st.remote.read())
+            .as_ref()
+            .map(|r| r.core().total_count());
+        assert_eq!(remote_total, Some(0));
+        let keys = vec![b"apple".to_vec(), b"pear".to_vec(), b"pear".to_vec()];
+        match st.handle(&Request::EstimateBatch { keys }) {
+            Response::Values(vs) => {
+                assert_eq!(vs.len(), 3);
+                assert!(
+                    vs[1] >= 7 && vs[2] >= 7,
+                    "merged mass must be visible: got {vs:?}"
+                );
+            }
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_node_that_never_merged_answers_batches_from_the_live_sketch() {
+        let st = state(1 << 12);
+        let truth: Vec<(Vec<u8>, u64)> = (0..200u64)
+            .map(|i| (format!("key-{i}").into_bytes(), 1 + i % 4))
+            .collect();
+        for (key, count) in &truth {
+            st.handle(&Request::Insert {
+                count: *count,
+                key: key.clone(),
+            });
+        }
+        let keys: Vec<Vec<u8>> = truth.iter().map(|(k, _)| k.clone()).collect();
+        match st.handle(&Request::EstimateBatch { keys }) {
+            Response::Values(vs) => {
+                assert_eq!(vs.len(), truth.len());
+                for ((key, count), v) in truth.iter().zip(vs) {
+                    assert!(v >= *count, "estimate {v} < truth {count} for {key:?}");
+                }
+            }
+            other => panic!("unexpected response {other:?}"),
+        }
+        assert!(
+            lock_unpoisoned(st.remote.read()).is_none(),
+            "no MERGE or restore, so no remote filter"
+        );
     }
 
     #[test]

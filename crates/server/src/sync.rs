@@ -2,7 +2,7 @@
 //! `sync` module for the full rationale).
 //!
 //! The daemon's shared state — shutdown/drain flags, the remote-merge
-//! filter lock, in-flight accounting — goes through this module, never
+//! filter lock, the reactor's completion queue — goes through this module, never
 //! `std::sync` directly (enforced by `tests/static_guards.rs`), so
 //! `RUSTFLAGS='--cfg sbf_modelcheck'` can rebind it to the in-workspace
 //! model checker and keep the drain protocol model-checkable.
@@ -13,7 +13,9 @@ pub(crate) use std::sync::{Arc, Mutex, OnceLock, RwLock};
 /// Atomic types, mirroring `std::sync::atomic`.
 #[cfg(not(sbf_modelcheck))]
 pub(crate) mod atomic {
-    pub use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    #[cfg(test)]
+    pub use std::sync::atomic::AtomicUsize;
+    pub use std::sync::atomic::{AtomicBool, Ordering};
 }
 
 #[cfg(sbf_modelcheck)]
@@ -22,7 +24,9 @@ pub(crate) use sbf_modelcheck::sync::{Arc, Mutex, OnceLock, RwLock};
 /// Model atomic types (checker build).
 #[cfg(sbf_modelcheck)]
 pub(crate) mod atomic {
-    pub use sbf_modelcheck::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    #[cfg(test)]
+    pub use sbf_modelcheck::sync::atomic::AtomicUsize;
+    pub use sbf_modelcheck::sync::atomic::{AtomicBool, Ordering};
 }
 
 /// Unwraps a lock guard, propagating poisoning as a panic.

@@ -6,7 +6,6 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use sbf_server::{ErrorCode, Request, Response, SbfClient, SbfServer, ServerConfig};
@@ -27,17 +26,6 @@ fn test_config() -> ServerConfig {
         .write_timeout(Some(Duration::from_secs(10)))
         .build()
         .expect("test config is valid")
-}
-
-/// Runs this file's tests one at a time. The thousand-connection test
-/// reads `sbfd_connections_active`, a process-wide gauge that every server
-/// sets to its own connection count, so a server from another test
-/// running beside it would overwrite the count it checks.
-fn serial() -> MutexGuard<'static, ()> {
-    static SERIAL: Mutex<()> = Mutex::new(());
-    // The lock guards no data, so a test that panicked holding it leaves
-    // nothing inconsistent behind.
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn key_bytes(key: u64) -> Vec<u8> {
@@ -68,7 +56,6 @@ fn read_response(stream: &mut TcpStream) -> Response {
 /// and the pairs cycle through every reactor/pool transition.
 #[test]
 fn many_frames_in_one_write_yield_ordered_responses() {
-    let _serial = serial();
     const PAIRS: u64 = 100;
     let mut reqs = Vec::new();
     for i in 0..PAIRS {
@@ -134,7 +121,6 @@ fn many_frames_in_one_write_yield_ordered_responses() {
 /// reassembles into exactly one dispatch.
 #[test]
 fn a_frame_split_across_reads_is_reassembled() {
-    let _serial = serial();
     let handle = SbfServer::bind(test_config()).unwrap().spawn().unwrap();
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
 
@@ -167,7 +153,6 @@ fn a_frame_split_across_reads_is_reassembled() {
 /// either side of it are answered normally — the stream resyncs.
 #[test]
 fn an_oversized_frame_mid_pipeline_resyncs_the_stream() {
-    let _serial = serial();
     let mut config = test_config();
     config.max_frame = 1024;
     let handle = SbfServer::bind(config).unwrap().spawn().unwrap();
@@ -208,7 +193,6 @@ fn an_oversized_frame_mid_pipeline_resyncs_the_stream() {
 /// count never bounds the connection count.
 #[test]
 fn a_thousand_idle_connections_are_held_by_four_workers() {
-    let _serial = serial();
     const IDLE: usize = 1000;
     sbf_telemetry::set_enabled(true);
     let handle = SbfServer::bind(test_config()).unwrap().spawn().unwrap();
@@ -229,7 +213,9 @@ fn a_thousand_idle_connections_are_held_by_four_workers() {
 
     // The reactor is actually holding them: the active-connections gauge
     // counts every parked peer (registration can trail the last connect,
-    // so poll briefly).
+    // so poll briefly). The gauge is process-wide, so servers of tests
+    // running beside this one add their own connections: it may read
+    // higher, never lower.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     let mut active = 0u64;
     while std::time::Instant::now() < deadline {

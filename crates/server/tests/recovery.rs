@@ -80,6 +80,20 @@ fn assert_one_sided(client: &mut SbfClient, truth: &HashMap<Vec<u8>, u64>) {
     }
 }
 
+/// [`assert_one_sided`] through one ESTIMATE_BATCH frame, which probes the
+/// restored filter with the batched path rather than per key.
+fn assert_batch_one_sided(client: &mut SbfClient, truth: &HashMap<Vec<u8>, u64>) {
+    let keys: Vec<&Vec<u8>> = truth.keys().collect();
+    let ests = client.estimate_batch(&keys).unwrap();
+    for (key, est) in keys.into_iter().zip(ests) {
+        let count = truth[key];
+        assert!(
+            est >= count,
+            "batched estimate {est} < true count {count} for {key:?}: acked mutation lost"
+        );
+    }
+}
+
 /// The headline guarantee: SIGKILL mid-ingest loses no acknowledged
 /// mutation. Every insert was fsynced to the log before its OK frame, so
 /// replaying the log alone (no snapshot was ever cut) rebuilds a sketch
@@ -135,6 +149,7 @@ fn crash_after_checkpoint_recovers_snapshot_plus_tail() {
     let handle = server.spawn().unwrap();
     let mut client = connect(handle.addr());
     assert_one_sided(&mut client, &truth);
+    assert_batch_one_sided(&mut client, &truth);
     drop(client);
     handle.shutdown_and_join().unwrap();
 }
