@@ -139,8 +139,8 @@ fn fill_lane_group<F: HashFamily>(
 /// (`dedup = false`): with dedup on, the transpose + canonicalisation per
 /// item costs more than the vector hash saves, which is why the write
 /// paths stay on the scalar [`pipelined_batch!`] pipeline (measured
-/// 10–25 % slower with lanes on every backend — see the `hotpath` bench
-/// and DESIGN.md §4i).
+/// 10–25 % slower with lanes on every backend on 2026-08-08 — see
+/// DESIGN.md §4i).
 pub(crate) fn lane_pipeline<F: HashFamily>(
     family: &F,
     n: usize,
@@ -206,7 +206,7 @@ pub(crate) fn lane_pipeline<F: HashFamily>(
 /// can vectorise, and they must deduplicate indices — so lane hashing
 /// would only add a seed-major→per-item transpose per key, measured
 /// 10–25 % *slower* than the scalar write-intent pipeline on every
-/// backend (see the `hotpath` bench and DESIGN.md §4i). The estimate
+/// backend on 2026-08-08 (see DESIGN.md §4i). The estimate
 /// paths win because the minimum over a multiset equals the minimum over
 /// its distinct values: dedup is skipped, and (where the store exposes a
 /// plain `u64` slice) the hashes feed the gathered-min kernel directly.

@@ -164,9 +164,10 @@ mod tests {
     /// agree with the per-key scalar path at every dispatch level.
     #[test]
     fn lanes_match_scalar() {
-        use crate::dispatch::{set_simd_level, simd_level, SimdLevel};
+        use crate::dispatch::{set_simd_level, simd_level, test_level_lock, SimdLevel};
         use crate::mix::SplitMix64;
         use crate::{LANES, MAX_K};
+        let _g = test_level_lock();
         let initial = simd_level();
         let f = blocked(128, 32, 5);
         let mut rng = SplitMix64::new(0xb10c);

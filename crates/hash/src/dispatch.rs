@@ -20,7 +20,7 @@
 //! `SBF_SIMD` environment variable (`scalar`, `sse2`, `avx2`) caps it at
 //! startup so the scalar fallback can be exercised on AVX2 machines (CI
 //! runs the whole suite under `SBF_SIMD=scalar`), and [`set_simd_level`]
-//! overrides it in-process for A/B benchmarks. Forcing a level *above* what
+//! overrides it in-process for the forced-scalar equivalence tests. Forcing a level *above* what
 //! the CPU supports is impossible — both knobs clamp to the detected
 //! maximum, so an invalid request degrades instead of faulting.
 //!
@@ -123,7 +123,7 @@ pub fn simd_level() -> SimdLevel {
 /// baseline, never an illegal instruction). Returns the level actually
 /// installed.
 ///
-/// Intended for A/B benchmarks and the forced-scalar equivalence tests;
+/// Intended for the forced-scalar equivalence tests;
 /// callers toggling this concurrently with hot-path traffic get whichever
 /// level each operation happens to observe — every level computes identical
 /// indices, so that is benign.
@@ -133,10 +133,11 @@ pub fn set_simd_level(level: SimdLevel) -> SimdLevel {
     clamped
 }
 
-/// Serialises tests that toggle the process-global dispatch level. Every
-/// level computes bit-identical results, so concurrent toggling is benign
-/// for *equivalence* assertions — but tests that assert on the level itself
-/// must hold this.
+/// Serialises tests that toggle or assert the process-global dispatch
+/// level. Every level computes bit-identical results, so concurrent
+/// toggling would be benign for *equivalence* assertions, but a test that
+/// asserts the level itself must not see another test's override; every
+/// test in this crate that sets the level holds this.
 #[cfg(test)]
 pub(crate) fn test_level_lock() -> crate::sync::MutexGuard<'static, ()> {
     static LOCK: crate::sync::Mutex<()> = crate::sync::Mutex::new(());
@@ -570,8 +571,29 @@ mod tests {
         set_simd_level(initial);
     }
 
+    /// Detection must pick AVX2 on a CPU that reports it. Detection that
+    /// silently fell back to a lower level would still pass every
+    /// bit-identity test, only slower. Skipped when `SBF_SIMD` caps the
+    /// level.
+    #[test]
+    fn detection_selects_avx2_when_the_cpu_has_it() {
+        if std::env::var_os("SBF_SIMD").is_some() {
+            return;
+        }
+        #[cfg(all(target_arch = "x86_64", target_pointer_width = "64"))]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            let _g = test_level_lock();
+            let initial = simd_level();
+            // Forget the cached level, so the next call detects afresh.
+            LEVEL.store(UNSET, Ordering::Relaxed);
+            assert_eq!(simd_level(), SimdLevel::Avx2);
+            set_simd_level(initial);
+        }
+    }
+
     #[test]
     fn mix_lanes_match_scalar_at_every_level() {
+        let _g = test_level_lock();
         let seeds: Vec<u64> = {
             let mut rng = SplitMix64::new(7);
             (0..5).map(|_| rng.next_u64()).collect()
@@ -594,6 +616,7 @@ mod tests {
 
     #[test]
     fn multiply_lanes_match_scalar_at_every_level() {
+        let _g = test_level_lock();
         let alphas: Vec<u64> = {
             let mut rng = SplitMix64::new(11);
             (0..4).map(|_| rng.next_odd_u64()).collect()
@@ -616,6 +639,7 @@ mod tests {
 
     #[test]
     fn block_reduce_matches_scalar_at_every_level() {
+        let _g = test_level_lock();
         let initial = simd_level();
         for range in [1u64, 2, 31, 1 << 16] {
             for vs in keysets() {
@@ -635,6 +659,7 @@ mod tests {
 
     #[test]
     fn min_gather_matches_scalar_at_every_level() {
+        let _g = test_level_lock();
         let mut rng = SplitMix64::new(3);
         let counters: Vec<u64> = (0..1024).map(|_| rng.next_u64()).collect();
         let initial = simd_level();
@@ -653,6 +678,7 @@ mod tests {
 
     #[test]
     fn min_gather_handles_extreme_counter_values() {
+        let _g = test_level_lock();
         // The unsigned-compare emulation must order values straddling the
         // sign bit correctly.
         let counters = vec![u64::MAX, u64::MAX - 1, 1u64 << 63, (1u64 << 63) - 1, 0, 5];

@@ -378,7 +378,8 @@ mod tests {
     /// family, at every dispatch level the machine supports.
     #[test]
     fn lanes_match_scalar_per_family() {
-        use crate::dispatch::{set_simd_level, simd_level, SimdLevel};
+        use crate::dispatch::{set_simd_level, simd_level, test_level_lock, SimdLevel};
+        let _g = test_level_lock();
         let initial = simd_level();
         for m in [1usize, 2, 97, 1 << 16, 1 << 20] {
             let k = 5;

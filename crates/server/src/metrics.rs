@@ -25,6 +25,7 @@
 //! | `sbfd_wal_fsync_ns` | histogram | per-append `fsync` wall time |
 //! | `sbfd_wal_log_bytes` | gauge | bytes in the current generation log |
 //! | `sbfd_wal_compactions_total` | counter | checkpoints cut (snapshot written, log rotated) |
+//! | `sbfd_wal_checkpoint_failures_total` | counter | background checkpoints that failed (the log is kept; the next tick retries) |
 //! | `sbfd_wal_replayed_records_total` | counter | log records re-applied during boot recovery |
 //! | `sbfd_wal_torn_tails_total` | counter | torn log tails truncated during boot recovery |
 //! | `sbfd_pipeline_batches_total` | counter | worker jobs dispatched (one per pipelined batch) |
@@ -91,6 +92,8 @@ pub struct ServerMetrics {
     pub wal_log_bytes: Arc<Gauge>,
     /// `sbfd_wal_compactions_total`.
     pub wal_compactions: Arc<Counter>,
+    /// `sbfd_wal_checkpoint_failures_total`.
+    pub wal_checkpoint_failures: Arc<Counter>,
     /// `sbfd_wal_replayed_records_total`.
     pub wal_replayed: Arc<Counter>,
     /// `sbfd_wal_torn_tails_total`.
@@ -152,6 +155,7 @@ pub fn server_metrics() -> &'static ServerMetrics {
             wal_fsync_ns: reg.histogram("sbfd_wal_fsync_ns"),
             wal_log_bytes: reg.gauge("sbfd_wal_log_bytes"),
             wal_compactions: reg.counter("sbfd_wal_compactions_total"),
+            wal_checkpoint_failures: reg.counter("sbfd_wal_checkpoint_failures_total"),
             wal_replayed: reg.counter("sbfd_wal_replayed_records_total"),
             wal_torn_tails: reg.counter("sbfd_wal_torn_tails_total"),
             pipeline_batches: reg.counter("sbfd_pipeline_batches_total"),

@@ -158,15 +158,13 @@ pub fn recover(dir: &Path, state: &SharedState) -> Result<RecoveryReport, Recove
                 report.records_skipped += 1;
             }
         }
-        if let TailStatus::Torn(reason) = scan.tail() {
+        if let TailStatus::Torn(_) = scan.tail() {
             let keep = scan.valid_len() as u64;
             let file = OpenOptions::new().write(true).open(&path)?;
             file.set_len(keep)?;
             file.sync_all()?;
             report.torn_tails += 1;
             metrics::on(|met| met.wal_torn_tails.inc());
-            // Torn tails are expected after a crash; note why for the log.
-            let _ = reason;
         }
     }
     metrics::on(|met| met.wal_replayed.add(report.records_replayed));

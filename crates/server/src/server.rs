@@ -932,9 +932,9 @@ impl SbfServer {
 
     /// Starts the background checkpoint thread when a WAL is attached:
     /// cuts a snapshot and compacts the log on the size trigger, and on
-    /// the configured interval. Checkpoint I/O failures are swallowed —
-    /// durability does not regress (the logs stay), compaction just waits
-    /// for the next tick.
+    /// the configured interval. A failed checkpoint is counted in
+    /// `sbfd_wal_checkpoint_failures_total`; durability does not regress
+    /// (the logs stay), compaction just waits for the next tick.
     fn spawn_checkpointer(&self) -> io::Result<Option<std::thread::JoinHandle<()>>> {
         let Some(wal) = self.state.wal().map(Arc::clone) else {
             return Ok(None);
@@ -949,7 +949,9 @@ impl SbfServer {
                     std::thread::sleep(Duration::from_millis(10));
                     let interval_due = interval.is_some_and(|iv| last.elapsed() >= iv);
                     if interval_due || wal.wants_checkpoint() {
-                        let _ = wal.checkpoint(|| state.snapshot_envelope());
+                        if wal.checkpoint(|| state.snapshot_envelope()).is_err() {
+                            metrics::on(|m| m.wal_checkpoint_failures.inc());
+                        }
                         last = Instant::now();
                     }
                 }

@@ -5,25 +5,34 @@
 //! scatter-gather stays one-sided versus ground truth; a replica promoted
 //! after a primary crash never under-counts an acknowledged mutation; and
 //! a cross-node spectral Bloomjoin reports the same group set as the
-//! in-process verified join on identical relations.
+//! in-process verified join on identical relations, shipping a small
+//! fraction of the bytes that shipping the relation would.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use sbf_db::join::{spectral_bloomjoin_verified, JoinPlan};
 use sbf_db::relation::Relation;
+use sbf_server::metrics::server_metrics;
 use sbf_server::{
     ClientError, ClusterClient, ClusterError, ClusterTopology, ErrorCode, NodeSpec, SbfClient,
     SbfServer, ServerConfig, ServerHandle,
 };
+use sbf_workloads::ZipfWorkload;
 use spectral_bloom::{CounterStore, MsSbf, SketchReader};
+
 const M: usize = 1 << 14;
 const K: usize = 5;
 const SEED: u64 = 42;
 
 fn config() -> ServerConfig {
+    config_m(M)
+}
+
+fn config_m(m: usize) -> ServerConfig {
     ServerConfig::builder()
         .addr("127.0.0.1:0")
-        .m(M)
+        .m(m)
         .k(K)
         .seed(SEED)
         .shards(4)
@@ -40,6 +49,14 @@ fn spawn_node(cfg: ServerConfig) -> ServerHandle {
 
 fn key_bytes(key: u64) -> Vec<u8> {
     key.to_le_bytes().to_vec()
+}
+
+/// Serialises the tests that run a JOIN_PLAN: every join adds to the
+/// process-global `sbfd_cluster_join_bytes_total`, which
+/// [`join_envelope_is_a_small_fraction_of_ship_all`] reads.
+fn join_lock() -> MutexGuard<'static, ()> {
+    static JOINS: Mutex<()> = Mutex::new(());
+    JOINS.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn wait_replicated(handle: &ServerHandle) {
@@ -281,6 +298,7 @@ fn replication_survives_a_replica_restart_via_resync() {
 
 #[test]
 fn cross_node_join_matches_in_process_verified_join() {
+    let _joins = join_lock();
     let site_a = spawn_node(config());
     let site_b = spawn_node(config());
     let topo = ClusterTopology::new(
@@ -367,4 +385,61 @@ fn cross_node_join_matches_in_process_verified_join() {
         Ok(_) => panic!("join against a dead peer must fail"),
     }
     site_a.shutdown_and_join().unwrap();
+}
+
+/// The wire Bloomjoin ships one Elias-δ coded filter envelope instead of
+/// the remote relation. Fixed data: m = 2^16, k = 5, seed 42; R is ids
+/// 0..8192 on node A and S is 20,000 Zipf keys on node B. The envelope
+/// measured 15,194 B against 1,280,000 B for shipping S at 64 B per row
+/// (1.19%); the ceiling is 1.2%.
+#[test]
+fn join_envelope_is_a_small_fraction_of_ship_all() {
+    const JOIN_M: usize = 1 << 16;
+    const ROW_BYTES: u64 = 64;
+    let _joins = join_lock();
+    sbf_telemetry::set_enabled(true);
+    let site_a = spawn_node(config_m(JOIN_M));
+    let site_b = spawn_node(config_m(JOIN_M));
+    let topo = ClusterTopology::new(
+        vec![
+            NodeSpec::solo(site_a.addr().to_string()),
+            NodeSpec::solo(site_b.addr().to_string()),
+        ],
+        JOIN_M,
+        K,
+        SEED,
+    )
+    .unwrap();
+
+    let r_keys: Vec<Vec<u8>> = (0u64..8192).map(key_bytes).collect();
+    let s_keys: Vec<Vec<u8>> = ZipfWorkload::generate(8192, 20_000, 1.07, 0x10_1A)
+        .stream
+        .into_iter()
+        .map(key_bytes)
+        .collect();
+    let mut a = SbfClient::builder(site_a.addr()).connect().unwrap();
+    let mut b = SbfClient::builder(site_b.addr()).connect().unwrap();
+    a.insert_batch(&r_keys).unwrap();
+    b.insert_batch(&s_keys).unwrap();
+
+    let shipped = &server_metrics().cluster_join_bytes;
+    let before = shipped.get();
+    let mut cluster = ClusterClient::connect(topo).unwrap();
+    cluster.join(0, 1, 2, &r_keys).unwrap();
+    let envelope = shipped.get() - before;
+    assert_eq!(
+        envelope,
+        b.join_filter(JOIN_M, K, SEED).unwrap().len() as u64,
+        "JOIN_PLAN ships exactly the peer's JOIN_FILTER envelope"
+    );
+    let ship_all = s_keys.len() as u64 * ROW_BYTES;
+    assert!(
+        envelope * 1000 <= ship_all * 12,
+        "join envelope {envelope} B is more than 1.2% of ship-all {ship_all} B"
+    );
+
+    drop((a, b));
+    cluster.shutdown_all();
+    site_a.join().unwrap();
+    site_b.join().unwrap();
 }

@@ -10,6 +10,8 @@
 //!   are swept on boot and never restored from,
 //! * clean shutdown compacts to a snapshot and restarts with exactly the
 //!   pre-shutdown mass,
+//! * a background checkpoint that fails is counted, and the node keeps
+//!   acknowledging durable inserts from the log it could not retire,
 //! * a timeout that could never be armed (`Some(0)`) is refused at
 //!   build/bind time with a typed config error instead of any connection
 //!   being served untimed.
@@ -17,7 +19,7 @@
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sbf_db::wire::FilterEnvelope;
 use sbf_server::{SbfClient, SbfServer, ServerConfig};
@@ -290,6 +292,51 @@ fn compaction_under_live_ingest_stays_one_sided() {
     let report = server.recovery_report().unwrap();
     assert!(report.snapshot_loaded);
     let handle = server.spawn().unwrap();
+    let mut client = connect(handle.addr());
+    assert_one_sided(&mut client, &truth);
+    drop(client);
+    handle.shutdown_and_join().unwrap();
+}
+
+/// A background checkpoint that fails is counted, not swallowed. A
+/// non-empty directory at `snapshot.sbf` makes the checkpoint's rename
+/// fail whatever the process's privileges. The node keeps acknowledging
+/// durable inserts, and a crash afterwards recovers them from the logs
+/// the failed checkpoints left in place.
+#[test]
+fn failed_background_checkpoints_are_counted_and_ingest_continues() {
+    sbf_telemetry::set_enabled(true);
+    let failures = &sbf_server::metrics::server_metrics().wal_checkpoint_failures;
+    let dir = scratch("checkpoint-fails");
+    let mut cfg = wal_config(&dir);
+    cfg.wal_checkpoint_interval = Some(Duration::from_millis(20));
+
+    // Recovery runs at bind and would refuse a directory at the snapshot
+    // path, so the obstacle goes in between bind and spawn, before the
+    // checkpointer starts.
+    let server = SbfServer::bind(cfg.clone()).unwrap();
+    let blocker = dir.join("snapshot.sbf");
+    std::fs::create_dir(&blocker).unwrap();
+    std::fs::write(blocker.join("occupied"), b"x").unwrap();
+    let before = failures.get();
+    let handle = server.spawn().unwrap();
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while failures.get() == before {
+        assert!(
+            Instant::now() < deadline,
+            "no checkpoint failure was counted in 10s"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let mut client = connect(handle.addr());
+    let truth = ingest(&mut client, 64, 2);
+    assert_one_sided(&mut client, &truth);
+    drop(client);
+
+    std::fs::remove_dir_all(&blocker).unwrap();
+    handle.crash_and_join().unwrap();
+    let handle = SbfServer::bind(cfg).unwrap().spawn().unwrap();
     let mut client = connect(handle.addr());
     assert_one_sided(&mut client, &truth);
     drop(client);
