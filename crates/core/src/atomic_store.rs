@@ -22,7 +22,10 @@ use crate::sync::atomic::{AtomicU64, Ordering};
 
 use sbf_hash::{BlockedFamily, HashFamily, IndexBuf, Key};
 
-use crate::core_ops::{lane_pipeline, lanes_worthwhile, pipelined_batch, LaneOp};
+use crate::core_ops::{
+    distinct_indexes_into, lane_pipeline, lanes_worthwhile, pipelined_batch, raw_indexes_into,
+    LaneOp,
+};
 use crate::metrics;
 use crate::ms::MsSbf;
 use crate::num;
@@ -254,14 +257,15 @@ impl<F: HashFamily, S: ConcurrentCounterStore> AtomicMsSbf<F, S> {
         &self.store
     }
 
-    /// The distinct counter indices of `key`, sorted — the same §3.1
+    /// The counter indices of `key`: distinct, in hash-function order
+    /// unless a collision forced a sort — the same §3.1
     /// canonicalisation [`crate::SbfCore::key_indexes`] applies, so the
     /// atomic filter and [`MsSbf`] built from equal parameters stay
     /// counter-for-counter identical under identical operations.
     #[inline]
     fn key_indexes<K: Key + ?Sized>(&self, key: &K) -> IndexBuf {
-        let mut idx = self.family.indexes(key);
-        idx.sort_dedup();
+        let mut idx = IndexBuf::new();
+        self.key_indexes_into(key, &mut idx);
         idx
     }
 
@@ -269,10 +273,18 @@ impl<F: HashFamily, S: ConcurrentCounterStore> AtomicMsSbf<F, S> {
     /// pipelines' copy-free ring refill; see `IndexBuf::fill`).
     #[inline]
     fn key_indexes_into<K: Key + ?Sized>(&self, key: &K, out: &mut IndexBuf) {
-        out.fill(self.family.k(), |slots| {
-            self.family.indexes_into(key, slots)
-        });
-        out.sort_dedup();
+        distinct_indexes_into(&self.family, key, out);
+    }
+
+    /// The minimum over a (possibly repeating) index set: no dedup needed,
+    /// since a repeated counter cannot change a minimum.
+    #[inline]
+    fn min_of_idx(&self, idx: &IndexBuf) -> u64 {
+        idx.as_slice()
+            .iter()
+            .map(|&i| self.store.load(i))
+            .min()
+            .unwrap_or(0)
     }
 
     #[inline]
@@ -292,7 +304,9 @@ impl<F: HashFamily, S: ConcurrentCounterStore> AtomicMsSbf<F, S> {
     /// Adds `count` occurrences of `key` (lock-free).
     pub fn insert_by<K: Key + ?Sized>(&self, key: &K, count: u64) {
         metrics::on(|m| m.inserts.inc());
-        for &i in self.key_indexes(key).as_slice() {
+        let idx = self.key_indexes(key);
+        debug_assert!(!idx.has_duplicate(), "insert over a repeated index");
+        for &i in idx.as_slice() {
             self.store.fetch_add(i, count);
         }
         self.total_count.fetch_add(count, Ordering::Relaxed);
@@ -322,6 +336,7 @@ impl<F: HashFamily, S: ConcurrentCounterStore> AtomicMsSbf<F, S> {
             hash = |key, slot| self.key_indexes_into(key, slot),
             prefetch = |idx| self.prefetch_idx_write(idx),
             apply = |_i, idx| {
+                debug_assert!(!idx.has_duplicate(), "insert over a repeated index");
                 for &i in idx.as_slice() {
                     self.store.fetch_add(i, 1);
                 }
@@ -362,15 +377,12 @@ impl<F: HashFamily, S: ConcurrentCounterStore> AtomicMsSbf<F, S> {
         }
     }
 
-    /// Estimates the multiplicity of `key` (minimum over its counters).
+    /// Estimates the multiplicity of `key` (minimum over its counters,
+    /// read without dedup like [`crate::SbfCore::min_of_key`]).
     pub fn estimate<K: Key + ?Sized>(&self, key: &K) -> u64 {
-        let est = self
-            .key_indexes(key)
-            .as_slice()
-            .iter()
-            .map(|&i| self.store.load(i))
-            .min()
-            .unwrap_or(0);
+        let mut idx = IndexBuf::new();
+        raw_indexes_into(&self.family, key, &mut idx);
+        let est = self.min_of_idx(&idx);
         metrics::on(|m| {
             m.estimates.inc();
             m.estimate_values.observe(est);
@@ -386,9 +398,8 @@ impl<F: HashFamily, S: ConcurrentCounterStore> AtomicMsSbf<F, S> {
     /// gather over `AtomicU64` memory would be a non-atomic access racing
     /// concurrent writers (TSan would rightly flag it). The counter reads
     /// stay per-element atomic loads; the lane pass still pays off here
-    /// because dedup is skipped (the minimum over a multiset equals the
-    /// minimum over its distinct values), which the per-key scalar hash
-    /// path cannot do without a dedicated no-dedup pipeline.
+    /// because four keys hash per vector pass. Neither path dedups: the
+    /// minimum over a multiset equals the minimum over its distinct values.
     pub fn estimate_batch_into<K: Key>(&self, keys: &[K], out: &mut Vec<u64>) {
         out.clear();
         out.reserve(keys.len());
@@ -397,30 +408,17 @@ impl<F: HashFamily, S: ConcurrentCounterStore> AtomicMsSbf<F, S> {
                 &self.family,
                 keys.len(),
                 |i| keys[i].canonical(),
-                false,
                 |op| match op {
                     LaneOp::Prefetch(idx) => self.prefetch_idx(idx),
-                    LaneOp::Apply(idx) => out.push(
-                        idx.as_slice()
-                            .iter()
-                            .map(|&i| self.store.load(i))
-                            .min()
-                            .unwrap_or(0),
-                    ),
+                    LaneOp::Apply(idx) => out.push(self.min_of_idx(idx)),
                 },
             );
         } else {
             pipelined_batch!(
                 keys,
-                hash = |key, slot| self.key_indexes_into(key, slot),
+                hash = |key, slot| raw_indexes_into(&self.family, key, slot),
                 prefetch = |idx| self.prefetch_idx(idx),
-                apply = |_i, idx| out.push(
-                    idx.as_slice()
-                        .iter()
-                        .map(|&i| self.store.load(i))
-                        .min()
-                        .unwrap_or(0)
-                )
+                apply = |_i, idx| out.push(self.min_of_idx(idx))
             );
         }
         metrics::on(|m| {

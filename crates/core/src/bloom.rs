@@ -4,7 +4,7 @@
 use sbf_bitvec::BitVec;
 use sbf_hash::{HashFamily, IndexBuf, Key};
 
-use crate::core_ops::pipelined_batch;
+use crate::core_ops::{pipelined_batch, raw_indexes_into};
 use crate::num;
 use crate::DefaultFamily;
 
@@ -99,7 +99,7 @@ impl<F: HashFamily> BloomFilter<F> {
     pub fn insert_batch<K: Key>(&mut self, keys: &[K]) {
         pipelined_batch!(
             keys,
-            hash = |key, slot| slot.fill(self.family.k(), |s| self.family.indexes_into(key, s)),
+            hash = |key, slot| raw_indexes_into(&self.family, key, slot),
             prefetch = |idx| self.prefetch_idx_write(idx),
             apply = |_i, idx| {
                 for &i in idx.as_slice() {
@@ -118,7 +118,7 @@ impl<F: HashFamily> BloomFilter<F> {
         out.reserve(keys.len());
         pipelined_batch!(
             keys,
-            hash = |key, slot| slot.fill(self.family.k(), |s| self.family.indexes_into(key, s)),
+            hash = |key, slot| raw_indexes_into(&self.family, key, slot),
             prefetch = |idx| self.prefetch_idx(idx),
             apply = |_i, idx| out.push(idx.as_slice().iter().all(|&i| self.bits.get(i)))
         );

@@ -24,9 +24,8 @@ pub const PIPELINE_DEPTH: usize = 8;
 /// The software-pipelined batch loop shared by every backend.
 ///
 /// Expands to a ring-buffered "hash ahead by [`PIPELINE_DEPTH`]" loop:
-/// `hash` computes a key's (deduplicated) [`IndexBuf`], `prefetch` requests
-/// its counter cache lines, `apply` consumes the indices of the *current*
-/// item. Items are applied strictly in order — only hashing and prefetching
+/// `hash` computes a key's [`IndexBuf`], `prefetch` requests its counter
+/// cache lines, `apply` consumes the indices of the *current* item. Items are applied strictly in order — only hashing and prefetching
 /// run ahead — so batched results are bit-identical to the item-at-a-time
 /// path even for order-dependent algorithms (Minimal Increase).
 ///
@@ -92,21 +91,15 @@ pub(crate) use pipelined_batch;
 pub(crate) enum LaneOp<'a> {
     /// Hashed a chunk ahead — issue the prefetch hints for this item.
     Prefetch(&'a IndexBuf),
-    /// The current item's (optionally deduplicated) indices.
+    /// The current item's indices, in hash-function order (not deduplicated).
     Apply(&'a IndexBuf),
 }
 
 /// Hashes one full lane group of [`LANES`] canonical key values through the
 /// family's SIMD kernel and transposes the seed-major output into per-item
-/// [`IndexBuf`]s (`bufs[lane]`), optionally canonicalising each through
-/// [`IndexBuf::sort_dedup`].
+/// [`IndexBuf`]s (`bufs[lane]`).
 #[inline]
-fn fill_lane_group<F: HashFamily>(
-    family: &F,
-    vs: [u64; LANES],
-    bufs: &mut [IndexBuf],
-    dedup: bool,
-) {
+fn fill_lane_group<F: HashFamily>(family: &F, vs: [u64; LANES], bufs: &mut [IndexBuf]) {
     let k = family.k();
     let mut stage = [0usize; LANES * MAX_K];
     family.indexes_lanes(vs, &mut stage[..k * LANES]);
@@ -116,9 +109,6 @@ fn fill_lane_group<F: HashFamily>(
                 *slot = stage[f * LANES + lane];
             }
         });
-        if dedup {
-            buf.sort_dedup();
-        }
     }
 }
 
@@ -135,17 +125,15 @@ fn fill_lane_group<F: HashFamily>(
 /// (a `&mut` store, an output vector): hashing needs only `family` and
 /// `canon`, so the borrows never overlap.
 ///
-/// Worth it only for read paths that can also skip [`IndexBuf::sort_dedup`]
-/// (`dedup = false`): with dedup on, the transpose + canonicalisation per
-/// item costs more than the vector hash saves, which is why the write
-/// paths stay on the scalar [`pipelined_batch!`] pipeline (measured
-/// 10–25 % slower with lanes on every backend on 2026-08-08 — see
-/// DESIGN.md §4i).
+/// The index sets are not deduplicated, so only minimum reads use it. The
+/// write paths stay on the scalar [`pipelined_batch!`] pipeline: even with
+/// dedup reduced to a pairwise test ([`IndexBuf::dedup`]), lane-hashed
+/// `increment_batch{,_picked}` measured no faster than scalar on
+/// 2026-10-17 (see DESIGN.md §4i).
 pub(crate) fn lane_pipeline<F: HashFamily>(
     family: &F,
     n: usize,
     canon: impl Fn(usize) -> u64,
-    dedup: bool,
     mut op: impl FnMut(LaneOp<'_>),
 ) {
     if n == 0 {
@@ -156,15 +144,12 @@ pub(crate) fn lane_pipeline<F: HashFamily>(
         while i + LANES <= len {
             let b = base + i;
             let vs = [canon(b), canon(b + 1), canon(b + 2), canon(b + 3)];
-            fill_lane_group(family, vs, &mut bufs[i..], dedup);
+            fill_lane_group(family, vs, &mut bufs[i..]);
             i += LANES;
         }
         for (j, buf) in bufs.iter_mut().enumerate().take(len).skip(i) {
             let v = canon(base + j);
             buf.fill(family.k(), |slots| family.indexes_into(&v, slots));
-            if dedup {
-                buf.sort_dedup();
-            }
         }
     };
     let mut cur = [IndexBuf::new(); PIPELINE_DEPTH];
@@ -203,19 +188,53 @@ pub(crate) fn lane_pipeline<F: HashFamily>(
 /// Only the *read* paths consult this. The write paths (insert/remove)
 /// deliberately stay on the scalar [`pipelined_batch!`] pipeline: they are
 /// bound by the `k` read-modify-writes per item, which no gather kernel
-/// can vectorise, and they must deduplicate indices — so lane hashing
-/// would only add a seed-major→per-item transpose per key, measured
-/// 10–25 % *slower* than the scalar write-intent pipeline on every
-/// backend on 2026-08-08 (see DESIGN.md §4i). The estimate
-/// paths win because the minimum over a multiset equals the minimum over
-/// its distinct values: dedup is skipped, and (where the store exposes a
-/// plain `u64` slice) the hashes feed the gathered-min kernel directly.
+/// can vectorise, so lane hashing only trades the scalar hash for a
+/// seed-major→per-item transpose. With dedup a pairwise test, lane-hashed
+/// inserts measured a median of 56–85 ns/key against 46–77 for scalar on
+/// 2026-10-17 (see DESIGN.md §4i) — no win worth a second write pipeline. The
+/// estimate paths win because the minimum over a multiset equals the
+/// minimum over its distinct values: dedup is skipped, and (where the
+/// store exposes a plain `u64` slice) the hashes feed the gathered-min
+/// kernel directly.
 #[inline]
 pub(crate) fn lanes_worthwhile(n: usize) -> bool {
     n >= LANES && sbf_hash::simd_level() != SimdLevel::Scalar
 }
 
-/// The counter values of one key, in hash-function order, plus the derived
+/// Writes the `k` counter indices of `key` into `out`, in hash-function
+/// order, duplicates kept — enough for a minimum read, which a repeated
+/// counter cannot change.
+#[inline]
+pub(crate) fn raw_indexes_into<F: HashFamily, K: Key + ?Sized>(
+    family: &F,
+    key: &K,
+    out: &mut IndexBuf,
+) {
+    out.fill(family.k(), |slots| family.indexes_into(key, slots));
+}
+
+/// Writes the counter indices of `key` into `out`: distinct, in
+/// hash-function order unless a collision forced a sort.
+///
+/// The one canonicalisation every counter mutation goes through — shared
+/// by [`SbfCore`] and [`crate::AtomicMsSbf`], so the two stay
+/// counter-for-counter identical under identical operations. Two hash
+/// functions can collide on the same counter (`h_i(x) = h_j(x)`); the
+/// paper's §3.1 model increments each *distinct* counter once per
+/// occurrence, so the duplicate is dropped here — otherwise one insert
+/// would bump the shared counter twice and permanently inflate
+/// `min`-based estimates.
+#[inline]
+pub(crate) fn distinct_indexes_into<F: HashFamily, K: Key + ?Sized>(
+    family: &F,
+    key: &K,
+    out: &mut IndexBuf,
+) {
+    raw_indexes_into(family, key, out);
+    out.dedup();
+}
+
+/// The counter values of one key, in index-set order, plus the derived
 /// minimum statistics the algorithms of §2–§3 decide on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KeyCounters {
@@ -355,18 +374,17 @@ impl<F: HashFamily, S: CounterStore> SbfCore<F, S> {
         num::to_f64(nz) / num::to_f64(self.store.len())
     }
 
-    /// The distinct counter indices of `key`, sorted.
+    /// The counter indices of `key`: distinct, in hash-function order
+    /// unless a collision forced a sort.
     ///
-    /// This is the canonical per-key index set every mutation and read in
-    /// the crate goes through. Two hash functions can collide on the same
-    /// counter (`h_i(x) = h_j(x)`); the paper's §3.1 model increments each
-    /// *distinct* counter once per occurrence, so the duplicate is dropped
-    /// here — otherwise one insert would bump the shared counter twice and
-    /// permanently inflate `min`-based estimates.
+    /// This is the canonical per-key index set every mutation and every
+    /// read of minimum multiplicities (RM, Trapping RM) goes through; see
+    /// [`IndexBuf::dedup`] for why a colliding index is kept once. Minimum
+    /// reads skip it ([`SbfCore::min_of_key`]).
     #[inline]
     pub fn key_indexes<K: Key + ?Sized>(&self, key: &K) -> IndexBuf {
-        let mut idx = self.family.indexes(key);
-        idx.sort_dedup();
+        let mut idx = IndexBuf::new();
+        self.key_indexes_into(key, &mut idx);
         idx
     }
 
@@ -375,10 +393,7 @@ impl<F: HashFamily, S: CounterStore> SbfCore<F, S> {
     /// `IndexBuf` struct per item (see [`IndexBuf::fill`]).
     #[inline]
     pub fn key_indexes_into<K: Key + ?Sized>(&self, key: &K, out: &mut IndexBuf) {
-        out.fill(self.family.k(), |slots| {
-            self.family.indexes_into(key, slots)
-        });
-        out.sort_dedup();
+        distinct_indexes_into(&self.family, key, out);
     }
 
     /// Prefetches the counter cache lines behind `idx` (no-op for stores
@@ -421,6 +436,17 @@ impl<F: HashFamily, S: CounterStore> SbfCore<F, S> {
             .unwrap_or(0)
     }
 
+    /// The Minimum Selection estimate `m_x` of `key`: the minimum over its
+    /// `k` counters, without dedup — a repeated index repeats a value, and
+    /// the minimum over a multiset equals the minimum over its set.
+    /// Equal to `key_counters(key).min()`.
+    #[inline]
+    pub fn min_of_key<K: Key + ?Sized>(&self, key: &K) -> u64 {
+        let mut idx = IndexBuf::new();
+        raw_indexes_into(&self.family, key, &mut idx);
+        self.min_of_idx(&idx)
+    }
+
     /// Reads the key's counters and minimum statistics.
     pub fn key_counters<K: Key + ?Sized>(&self, key: &K) -> KeyCounters {
         self.key_counters_idx(&self.key_indexes(key))
@@ -446,9 +472,11 @@ impl<F: HashFamily, S: CounterStore> SbfCore<F, S> {
         self.increment_idx(&idx, by);
     }
 
-    /// [`SbfCore::increment_all`] over a precomputed index set.
+    /// [`SbfCore::increment_all`] over a precomputed index set, which must
+    /// be distinct ([`SbfCore::key_indexes`]).
     #[inline]
     pub fn increment_idx(&mut self, idx: &IndexBuf, by: u64) {
+        debug_assert!(!idx.has_duplicate(), "increment over a repeated index");
         for &i in idx.as_slice() {
             self.store.increment(i, by);
         }
@@ -462,8 +490,10 @@ impl<F: HashFamily, S: CounterStore> SbfCore<F, S> {
         self.decrement_idx(&idx, by)
     }
 
-    /// [`SbfCore::decrement_all`] over a precomputed index set.
+    /// [`SbfCore::decrement_all`] over a precomputed index set, which must
+    /// be distinct ([`SbfCore::key_indexes`]).
     pub fn decrement_idx(&mut self, idx: &IndexBuf, by: u64) -> Result<(), RemoveError> {
+        debug_assert!(!idx.has_duplicate(), "decrement over a repeated index");
         for &i in idx.as_slice() {
             if self.store.get(i) < by {
                 return Err(RemoveError::Underflow { index: i });
@@ -499,9 +529,11 @@ impl<F: HashFamily, S: CounterStore> SbfCore<F, S> {
         self.raise_to_floor_idx(&idx, floor);
     }
 
-    /// [`SbfCore::raise_to_floor`] over a precomputed index set.
+    /// [`SbfCore::raise_to_floor`] over a precomputed index set, which must
+    /// be distinct ([`SbfCore::key_indexes`]).
     #[inline]
     pub fn raise_to_floor_idx(&mut self, idx: &IndexBuf, floor: u64) {
+        debug_assert!(!idx.has_duplicate(), "raise over a repeated index");
         for &i in idx.as_slice() {
             if self.store.get(i) < floor {
                 self.store.set(i, floor);
@@ -541,8 +573,9 @@ impl<F: HashFamily, S: CounterStore> SbfCore<F, S> {
     }
 
     /// The per-key minimum counter (the Minimum Selection estimate `m_x`)
-    /// for every key, software-pipelined. `out` is cleared first; `out[i]`
-    /// answers `keys[i]`, exactly as `key_counters(keys[i]).min()` would.
+    /// for every key, software-pipelined and without dedup (like
+    /// [`SbfCore::min_of_key`]). `out` is cleared first; `out[i]` answers
+    /// `keys[i]`, exactly as `key_counters(keys[i]).min()` would.
     pub fn min_batch_into<K: Key>(&self, keys: &[K], out: &mut Vec<u64>) {
         out.clear();
         out.reserve(keys.len());
@@ -554,7 +587,7 @@ impl<F: HashFamily, S: CounterStore> SbfCore<F, S> {
         }
         pipelined_batch!(
             keys,
-            hash = |key, slot| self.key_indexes_into(key, slot),
+            hash = |key, slot| raw_indexes_into(&self.family, key, slot),
             prefetch = |idx| self.prefetch_idx(idx),
             apply = |_i, idx| out.push(self.min_of_idx(idx))
         );
@@ -578,7 +611,7 @@ impl<F: HashFamily, S: CounterStore> SbfCore<F, S> {
         }
         pipelined_batch!(
             picks,
-            hash = |j, slot| self.key_indexes_into(&keys[num::to_usize(*j)], slot),
+            hash = |j, slot| raw_indexes_into(&self.family, &keys[num::to_usize(*j)], slot),
             prefetch = |idx| self.prefetch_idx(idx),
             apply = |_i, idx| out.push(self.min_of_idx(idx))
         );
@@ -586,7 +619,7 @@ impl<F: HashFamily, S: CounterStore> SbfCore<F, S> {
 
     /// The SIMD estimate worker: hashes lane groups through the family's
     /// vector kernel straight into seed-major stages (no [`IndexBuf`], no
-    /// [`IndexBuf::sort_dedup`] — the minimum over a multiset equals the
+    /// [`IndexBuf::dedup`] — the minimum over a multiset equals the
     /// minimum over its distinct values, so the answers stay bit-identical
     /// to the scalar path) and reduces each group with the gathered-min
     /// kernel. Two lane groups stay hashed-and-prefetched ahead, matching
@@ -764,7 +797,8 @@ mod tests {
         let mut c = core(4096, 3, 4);
         c.increment_all(&5u64, 1);
         // Manually bump all but the last distinct counter to fabricate a
-        // single min (slots follow the canonical sorted-dedup index order).
+        // single min (slots follow the canonical index order: distinct, in
+        // hash-function order unless a collision forced a sort).
         let idx = c.key_indexes(&5u64);
         let last = idx.len() - 1;
         for &i in &idx.as_slice()[..last] {
@@ -773,6 +807,18 @@ mod tests {
         let kc = c.key_counters(&5u64);
         assert_eq!(kc.single_min_slot(), Some(last));
         assert!(!kc.has_recurring_min());
+    }
+
+    #[test]
+    fn key_counters_equality_ignores_stale_index_slots() {
+        let c = core(64, 3, 1);
+        // A reused buffer keeps a stale third slot past its length.
+        let mut reused = IndexBuf::new();
+        reused.fill(3, |s| s.copy_from_slice(&[1, 2, 3]));
+        reused.fill(2, |s| s.copy_from_slice(&[1, 2]));
+        let mut fresh = IndexBuf::new();
+        fresh.fill(2, |s| s.copy_from_slice(&[1, 2]));
+        assert_eq!(c.key_counters_idx(&reused), c.key_counters_idx(&fresh));
     }
 
     #[test]

@@ -99,7 +99,7 @@ impl<F: HashFamily, S: CounterStore> MiSbf<F, S> {
 
 impl<F: HashFamily, S: CounterStore> SketchReader for MiSbf<F, S> {
     fn estimate<K: Key + ?Sized>(&self, key: &K) -> u64 {
-        let est = self.core.key_counters(key).min();
+        let est = self.core.min_of_key(key);
         metrics::on(|m| {
             m.estimates.inc();
             m.estimate_values.observe(est);
@@ -116,14 +116,8 @@ impl<F: HashFamily, S: CounterStore> SketchReader for MiSbf<F, S> {
     }
 
     fn estimate_batch_picked_into<K: Key>(&self, keys: &[K], picks: &[u32], out: &mut Vec<u64>) {
-        out.reserve(picks.len());
         let before = out.len();
-        pipelined_batch!(
-            picks,
-            hash = |j, slot| self.core.key_indexes_into(&keys[num::to_usize(*j)], slot),
-            prefetch = |idx| self.core.prefetch_idx(idx),
-            apply = |_i, idx| out.push(self.core.min_of_idx(idx))
-        );
+        self.core.min_batch_picked_into(keys, picks, out);
         metrics::on(|m| {
             m.estimates.add(num::to_u64(picks.len()));
             m.estimate_values.observe_many(&out[before..]);

@@ -109,7 +109,7 @@ impl BlockedMsSbf {
 
 impl<F: HashFamily, S: CounterStore> SketchReader for MsSbf<F, S> {
     fn estimate<K: Key + ?Sized>(&self, key: &K) -> u64 {
-        let est = self.core.key_counters(key).min();
+        let est = self.core.min_of_key(key);
         metrics::on(|m| {
             m.estimates.inc();
             m.estimate_values.observe(est);
