@@ -7,15 +7,11 @@
 //! (fraction of erroneous queries) — and the algorithm runners that feed
 //! identical streams to Minimum Selection, Minimal Increase and Recurring
 //! Minimum under space-fair budgets.
-//!
-//! Wall-clock figures (11, 12) additionally have Criterion benches under
-//! `benches/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
 pub mod metrics;
-pub mod telemetry;
 
 pub use metrics::{AccuracyMetrics, Algo};

@@ -114,6 +114,18 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
     Some(value)
 }
 
+/// Refuses more hash functions than the family supports, which would
+/// otherwise panic when the filter is built.
+fn check_k(k: usize) -> Result<(), CliError> {
+    if k > sbf_hash::MAX_K {
+        return Err(CliError::Usage(format!(
+            "--k must be at most {}",
+            sbf_hash::MAX_K
+        )));
+    }
+    Ok(())
+}
+
 /// Parses `build` arguments.
 pub fn parse_build(mut args: Vec<String>) -> Result<BuildOpts, CliError> {
     let out = take_flag(&mut args, "--out")
@@ -147,6 +159,7 @@ pub fn parse_build(mut args: Vec<String>) -> Result<BuildOpts, CliError> {
     if m == 0 || k == 0 {
         return Err(CliError::Usage("--m and --k must be positive".into()));
     }
+    check_k(k)?;
     if ingest_threads == 0 {
         return Err(CliError::Usage("--ingest-threads must be positive".into()));
     }
@@ -319,6 +332,7 @@ pub fn parse_bench(mut args: Vec<String>) -> Result<BenchOpts, CliError> {
             "--m, --k, --keys, --distinct and --batch-size must be positive".into(),
         ));
     }
+    check_k(k)?;
     Ok(BenchOpts {
         m,
         k,
@@ -1299,6 +1313,15 @@ mod tests {
                 .collect()
         )
         .is_err());
+        // One more hash function than the family supports used to panic.
+        assert!(matches!(
+            parse_build(
+                ["--out", "f", "--m", "10", "--k", "17"]
+                    .map(String::from)
+                    .to_vec()
+            ),
+            Err(CliError::Usage(_))
+        ));
     }
 
     #[test]
@@ -1680,6 +1703,11 @@ mod tests {
             ["--poll-timeout-ms", "0"],
             ["--timeout-secs", "0"],
             ["--max-frame", "0"],
+            ["--k", "17"],
+            ["--k", "0"],
+            ["--m", "0"],
+            ["--shards", "0"],
+            ["--workers", "0"],
         ] {
             let argv: Vec<String> = ["serve", "--addr", "127.0.0.1:0", flags[0], flags[1]]
                 .map(String::from)
@@ -1773,6 +1801,11 @@ mod tests {
         assert_eq!(o.kind, FilterKind::MinimalIncrease);
         assert!(parse_bench(["--batch-size", "0"].map(String::from).to_vec()).is_err());
         assert!(parse_bench(["--bogus", "1"].map(String::from).to_vec()).is_err());
+        // One more hash function than the family supports used to panic.
+        assert!(matches!(
+            parse_bench(["--k", "17"].map(String::from).to_vec()),
+            Err(CliError::Usage(_))
+        ));
     }
 
     #[test]

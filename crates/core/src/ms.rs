@@ -90,7 +90,7 @@ impl<F: HashFamily, S: CounterStore> MsSbf<F, S> {
 /// trade-off is accuracy: `k` counters drawn from one small block collide
 /// more than `k` drawn from all of `m`, raising the effective error rate
 /// slightly (negligibly for blocks ≳ 64 counters; see DESIGN.md "Hot
-/// path" and the `blocked_vs_flat` ablation).
+/// path" and `repro paged`).
 pub type BlockedMsSbf = MsSbf<BlockedFamily<DefaultFamily>, PlainCounters>;
 
 impl BlockedMsSbf {

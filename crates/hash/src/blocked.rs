@@ -5,8 +5,7 @@
 //! the `k` Bloom hash functions then hash only *within* that block. A lookup
 //! therefore touches a single block — one page of external storage — instead
 //! of up to `k` random pages. The paper notes that accuracy degrades only
-//! negligibly for large enough blocks; the `blocked_vs_flat` ablation bench
-//! measures exactly that.
+//! negligibly for large enough blocks; `repro paged` measures exactly that.
 
 use crate::dispatch::{self, LANES};
 use crate::family::HashFamily;

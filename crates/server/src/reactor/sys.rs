@@ -1,6 +1,6 @@
 //! The std-only epoll shim: four `extern "C"` declarations and a safe
-//! RAII wrapper, in the same in-workspace discipline as the proptest and
-//! criterion shims — no `libc` crate, no registry dependency.
+//! RAII wrapper, in the same in-workspace discipline as the proptest
+//! shim — no `libc` crate, no registry dependency.
 //!
 //! This is the only file in `sbf-server` allowed to contain `unsafe`
 //! (the crate is `#![deny(unsafe_code)]`; this module opts back in, like

@@ -162,6 +162,21 @@ impl ServerConfig {
     /// [`ServerConfigBuilder::build`] and again by [`SbfServer::bind`]
     /// (fields are public, so a config can be mutated after building).
     pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.m == 0 {
+            return Err(ConfigError::ZeroM);
+        }
+        if self.k == 0 {
+            return Err(ConfigError::ZeroK);
+        }
+        if self.k > sbf_hash::MAX_K {
+            return Err(ConfigError::KAboveMax);
+        }
+        if self.shards == 0 {
+            return Err(ConfigError::ZeroShards);
+        }
+        if self.workers == 0 {
+            return Err(ConfigError::ZeroWorkers);
+        }
         if self.read_timeout == Some(Duration::ZERO) {
             return Err(ConfigError::ZeroReadTimeout);
         }
@@ -195,13 +210,24 @@ impl ServerConfig {
     }
 }
 
-/// A configuration the server refuses to start with. Timeouts of zero
-/// would mark every connection dead on arrival; zero capacities would
-/// serve nothing — all six are caller bugs worth naming, not values to
-/// silently clamp.
+/// A configuration the server refuses to start with. A zero geometry or
+/// more hash functions than the family supports would build no filter;
+/// timeouts of zero would mark every connection dead on arrival; zero
+/// capacities would serve nothing — all eleven are caller bugs worth
+/// naming, not values to silently clamp.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ConfigError {
+    /// `m` was zero — a filter needs at least one counter.
+    ZeroM,
+    /// `k` was zero — a filter needs at least one hash function.
+    ZeroK,
+    /// `k` exceeded [`sbf_hash::MAX_K`], the most the hash family supports.
+    KAboveMax,
+    /// `shards` was zero — the live sketch needs at least one shard.
+    ZeroShards,
+    /// `workers` was zero — no pool job could ever run.
+    ZeroWorkers,
     /// `read_timeout` was `Some(0)`; use `None` to wait forever.
     ZeroReadTimeout,
     /// `write_timeout` was `Some(0)`; use `None` to wait forever.
@@ -219,6 +245,11 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ConfigError::ZeroM => write!(f, "m must be at least 1"),
+            ConfigError::ZeroK => write!(f, "k must be at least 1"),
+            ConfigError::KAboveMax => write!(f, "k must be at most {}", sbf_hash::MAX_K),
+            ConfigError::ZeroShards => write!(f, "shards must be at least 1"),
+            ConfigError::ZeroWorkers => write!(f, "workers must be at least 1"),
             ConfigError::ZeroReadTimeout => {
                 write!(f, "read_timeout must be nonzero (use None to wait forever)")
             }
@@ -423,12 +454,11 @@ pub struct SharedState {
 }
 
 impl SharedState {
+    /// Builds the state for a config that passed [`ServerConfig::validate`].
     pub(crate) fn new(config: &ServerConfig) -> Self {
-        let m = config.m.max(1);
-        let k = config.k.max(1);
         SharedState {
-            sketch: ShardedSketch::with_shards(config.shards.max(1), |_| {
-                MsSbf::new(m, k, config.seed)
+            sketch: ShardedSketch::with_shards(config.shards, |_| {
+                MsSbf::new(config.m, config.k, config.seed)
             }),
             remote: RwLock::new(None),
             shutdown: AtomicBool::new(false),
@@ -436,8 +466,8 @@ impl SharedState {
             wal: OnceLock::new(),
             replicator: OnceLock::new(),
             reactor_waker: OnceLock::new(),
-            m,
-            k,
+            m: config.m,
+            k: config.k,
             seed: config.seed,
             max_frame: config.max_frame,
         }
@@ -855,7 +885,7 @@ impl SbfServer {
         Ok(SbfServer {
             listener,
             state,
-            workers: config.workers.max(1),
+            workers: config.workers,
             reactor_cfg: config.reactor_config(),
             snapshot_path: config.snapshot_path,
             checkpoint_interval: config.wal_checkpoint_interval,
@@ -1296,6 +1326,30 @@ mod tests {
             ServerConfig::builder().max_frame(0).build().unwrap_err(),
             ConfigError::ZeroMaxFrame
         );
+        assert_eq!(
+            ServerConfig::builder().m(0).build().unwrap_err(),
+            ConfigError::ZeroM
+        );
+        assert_eq!(
+            ServerConfig::builder().k(0).build().unwrap_err(),
+            ConfigError::ZeroK
+        );
+        assert_eq!(
+            ServerConfig::builder()
+                .k(sbf_hash::MAX_K + 1)
+                .build()
+                .unwrap_err(),
+            ConfigError::KAboveMax
+        );
+        assert_eq!(
+            ServerConfig::builder().shards(0).build().unwrap_err(),
+            ConfigError::ZeroShards
+        );
+        assert_eq!(
+            ServerConfig::builder().workers(0).build().unwrap_err(),
+            ConfigError::ZeroWorkers
+        );
+        assert!(ServerConfig::builder().k(sbf_hash::MAX_K).build().is_ok());
     }
 
     #[test]
@@ -1309,6 +1363,14 @@ mod tests {
         let err = SbfServer::bind(cfg).expect_err("zero read timeout must refuse to bind");
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         assert!(err.to_string().contains("read_timeout"));
+        // Too many hash functions used to panic inside the hash family.
+        let cfg = ServerConfig {
+            k: 17,
+            ..ServerConfig::default()
+        };
+        let err = SbfServer::bind(cfg).expect_err("k = 17 must refuse to bind");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("at most 16"));
     }
 
     #[test]
