@@ -13,9 +13,9 @@
 //!   (finish in-flight, flush a final snapshot),
 //! * `reactor` (private) — the nonblocking core: a std-only epoll shim,
 //!   per-connection read→split→dispatch→write state machines with
-//!   pipelined parsing (N frames per read), a timer wheel for timeouts,
-//!   and a worker completion queue — thousands of idle connections cost
-//!   slab slots, not threads,
+//!   pipelined parsing (N frames per read) and a timer wheel for
+//!   timeouts, on `workers` reactor threads fed by one acceptor —
+//!   thousands of idle connections cost slab slots, not threads,
 //! * [`client`] — [`SbfClient`], a blocking client built by
 //!   [`ClientBuilder`], enforcing the same frame cap on responses and
 //!   able to pipeline request batches over one socket,
@@ -25,7 +25,6 @@
 //!   cross-node spectral Bloomjoins), and [`Replicator`]
 //!   (primary→replica snapshot bootstrap + semi-synchronous frame
 //!   streaming),
-//! * [`pool`] — the worker pool (CPU work only; no sockets),
 //! * [`wal`] — the write-ahead log: CRC-framed mutation records fsynced
 //!   before acknowledgement, atomic snapshots, log compaction,
 //! * [`recovery`] — replay-on-boot (snapshot, then log tails, truncating
@@ -49,7 +48,6 @@
 pub mod client;
 pub mod cluster;
 pub mod metrics;
-pub mod pool;
 pub mod proto;
 mod reactor;
 pub mod recovery;

@@ -28,7 +28,7 @@
 //! | `sbfd_wal_checkpoint_failures_total` | counter | background checkpoints that failed (the log is kept; the next tick retries) |
 //! | `sbfd_wal_replayed_records_total` | counter | log records re-applied during boot recovery |
 //! | `sbfd_wal_torn_tails_total` | counter | torn log tails truncated during boot recovery |
-//! | `sbfd_pipeline_batches_total` | counter | worker jobs dispatched (one per pipelined batch) |
+//! | `sbfd_pipeline_batches_total` | counter | dispatch jobs run (one per pipelined batch of up to `pipeline_depth` frames) |
 //! | `sbfd_pipeline_frames_total` | counter | frames carried by those batches (`frames / batches` = achieved pipelining depth) |
 //! | `sbfd_backpressure_stalls_total` | counter | reads paused (queue or write buffer full) and listener parks (connection cap) |
 //! | `sbfd_cluster_fanout_nodes` | histogram | nodes touched per scatter-gather batch |

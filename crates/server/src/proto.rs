@@ -343,22 +343,6 @@ const OP_HELLO: u8 = 0x0B;
 const OP_JOIN_PLAN: u8 = 0x0C;
 const OP_JOIN_FILTER: u8 = 0x0D;
 
-/// Whether a request frame with this opcode is a *point* frame: its whole
-/// cost is k hashes and k counter probes, so the reactor may run it on its
-/// own thread without holding up another connection by more than O(k)
-/// work. PING and ESTIMATE always are. INSERT and REMOVE are only on a
-/// node that is not `durable` (no WAL and no replicator): a durable
-/// mutation waits on an fsync or a replica ack before it answers. Batches,
-/// MERGE, SNAPSHOT, JOIN_*, STATS, HELLO, SHUTDOWN and unknown opcodes
-/// never are.
-pub(crate) fn is_point_op(opcode: u8, durable: bool) -> bool {
-    match opcode {
-        OP_PING | OP_ESTIMATE => true,
-        OP_INSERT | OP_REMOVE => !durable,
-        _ => false,
-    }
-}
-
 // Response opcodes (high bit set).
 const OP_OK: u8 = 0x80;
 const OP_VALUE: u8 = 0x81;
@@ -1094,32 +1078,6 @@ mod tests {
             seed: 0
         }
         .is_mutation());
-        // Which frames the reactor may serve on its own thread, for every
-        // request opcode: (opcode, point on a volatile node, point on a
-        // durable node). Only the O(k) frames qualify, and a mutation
-        // stops qualifying once it must wait on an fsync or a replica ack.
-        let table = [
-            (OP_PING, true, true),
-            (OP_INSERT, true, false),
-            (OP_REMOVE, true, false),
-            (OP_ESTIMATE, true, true),
-            (OP_INSERT_BATCH, false, false),
-            (OP_ESTIMATE_BATCH, false, false),
-            (OP_MERGE, false, false),
-            (OP_SNAPSHOT, false, false),
-            (OP_STATS, false, false),
-            (OP_SHUTDOWN, false, false),
-            (OP_HELLO, false, false),
-            (OP_JOIN_PLAN, false, false),
-            (OP_JOIN_FILTER, false, false),
-        ];
-        let ops: Vec<u8> = table.iter().map(|row| row.0).collect();
-        assert_eq!(ops, (0x01..=0x0D).collect::<Vec<u8>>(), "all 13 opcodes");
-        for (op, volatile, durable) in table {
-            assert_eq!(is_point_op(op, false), volatile, "opcode {op:#04x}");
-            assert_eq!(is_point_op(op, true), durable, "opcode {op:#04x}");
-        }
-        assert!(!is_point_op(0x0E, false), "unknown opcodes go to the pool");
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!
 //! The frame splitter is where pipelining happens: one TCP segment
 //! carrying N frames yields N queued [`FrameItem`]s from a single
-//! `read(2)`, and the dispatcher ships up to `pipeline_depth` of them to
-//! a worker as one job. Protocol-level rejections (zero-length frame,
+//! `read(2)`, and the reactor runs up to `pipeline_depth` of them as one
+//! job. Protocol-level rejections (zero-length frame,
 //! declared length over the cap) are queued as [`FrameItem::Reject`]
 //! *in sequence* with real frames, so a client that pipelines
 //! `[good][bad][good]` gets its three responses in order — the resync
@@ -16,7 +16,6 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use crate::proto::{ErrorCode, Response};
-use crate::sync::Arc;
 
 /// One parsed unit of client input, in arrival order.
 #[derive(Debug)]
@@ -24,8 +23,8 @@ pub(crate) enum FrameItem {
     /// A complete frame body (opcode + payload, length prefix stripped) —
     /// exactly the bytes the WAL logs for mutations.
     Body(Vec<u8>),
-    /// A protocol rejection produced at split time; answered by the worker
-    /// in order, without dispatching.
+    /// A protocol rejection produced at split time; answered in order,
+    /// without decoding.
     Reject(Response),
 }
 
@@ -99,15 +98,11 @@ pub(crate) fn split_frames(
     (pos, stats)
 }
 
-/// One registered connection. All fields are plain state the reactor
-/// mutates single-threadedly; the only cross-thread traffic is the
-/// [`FrameItem`] batch out to a worker and the completion bytes back.
+/// One registered connection: plain state that only its reactor's thread
+/// touches.
 pub(crate) struct Connection {
-    /// The nonblocking socket. Shared (`Arc`) so a worker holding the
-    /// direct-write fast path keeps the fd alive even if the reactor
-    /// closes the slot mid-job — which also means a recycled slot can
-    /// never reuse the fd number while a stale job could still write.
-    pub stream: Arc<TcpStream>,
+    /// The nonblocking socket.
+    pub stream: TcpStream,
     /// Bytes read but not yet split into frames.
     pub read_buf: Vec<u8>,
     /// Remaining payload bytes of an oversized frame being dropped.
@@ -118,11 +113,8 @@ pub(crate) struct Connection {
     pub write_buf: Vec<u8>,
     /// How much of `write_buf` has been written.
     pub write_pos: usize,
-    /// Whether a worker job for this connection is in flight (at most one;
-    /// responses must come back in request order).
-    pub inflight: bool,
-    /// Incarnation counter guarding against stale completions and timer
-    /// entries after this slot is reused.
+    /// Incarnation counter guarding against stale timer entries after this
+    /// slot is reused.
     pub generation: u64,
     /// Last byte-level progress in either direction (feeds timeouts).
     pub last_activity: Instant,
@@ -141,7 +133,7 @@ pub(crate) struct Connection {
 }
 
 impl Connection {
-    pub(crate) fn new(stream: Arc<TcpStream>, generation: u64, now: Instant) -> Self {
+    pub(crate) fn new(stream: TcpStream, generation: u64, now: Instant) -> Self {
         Connection {
             stream,
             read_buf: Vec::new(),
@@ -149,7 +141,6 @@ impl Connection {
             queued: VecDeque::new(),
             write_buf: Vec::new(),
             write_pos: 0,
-            inflight: false,
             generation,
             last_activity: now,
             peer_closed: false,
@@ -184,7 +175,7 @@ impl Connection {
     /// Whether everything owed to the peer has been flushed and nothing
     /// more can be produced — i.e. the connection can close cleanly.
     pub(crate) fn fully_drained(&self) -> bool {
-        !self.inflight && self.queued.is_empty() && self.pending_write() == 0
+        self.queued.is_empty() && self.pending_write() == 0
     }
 }
 

@@ -1,15 +1,16 @@
-//! The event-driven I/O core of `sbfd`: one reactor thread multiplexes
-//! every connection over epoll, runs the jobs whose cost is O(k) — k
-//! hashes and k counter probes — itself, and hands every other job to the
-//! [`WorkerPool`] (see *Inline dispatch* below).
+//! The event-driven I/O core of `sbfd`: `workers` reactor threads, each
+//! multiplexing its own connections over its own epoll set and running
+//! every job of those connections itself, and one acceptor that places
+//! new connections on them.
 //!
 //! # Shape
 //!
 //! ```text
-//!            epoll (level-triggered)
-//!   listener ──► accept ──► Connection slab (token = slot + 2)
-//!   waker    ──► drain completion queue
-//!   conn fd  ──► read-accumulate ─► frame-split ─► dispatch ─► write-drain
+//!   acceptor (the thread that calls `serve`)
+//!     listener ──► accept ──► least-loaded reactor's inbox, then its waker
+//!   reactor i (`sbfd-reactor-{i}`), epoll (level-triggered)
+//!     waker    ──► adopt inbox sockets into the Connection slab (token = slot + 2)
+//!     conn fd  ──► read-accumulate ─► frame-split ─► run jobs ─► write-drain
 //! ```
 //!
 //! Per connection the reactor runs a four-stage machine
@@ -17,54 +18,48 @@
 //! carves out *every* complete frame it holds (pipelined parsing — N
 //! frames per `read(2)`), up to `pipeline_depth` frames form **one** job,
 //! and the job's concatenated response bytes drain back through
-//! `write_buf`. At most one job per connection is in flight, which is what
-//! keeps pipelined responses in request order — whichever thread runs it.
+//! `write_buf`. A job runs to completion on its connection's reactor
+//! before the next one starts, so a connection never has two jobs at
+//! once, and that is what keeps pipelined responses in request order.
 //!
-//! # Inline dispatch
+//! # Placement
 //!
-//! A job runs on the reactor thread when doing so cannot hold up another
-//! connection by more than O(k) work: when its connection is the only one
-//! registered, or when every frame in it is a point frame
-//! ([`is_point_op`]: PING, ESTIMATE, and INSERT/REMOVE on a node with
-//! neither a WAL nor a replicator) or a split-time rejection. Inline jobs
-//! run the same [`worker_process`] as pool jobs and post the same
-//! completion, so the drain gate, the apply→fsync→ack order and typed
-//! errors do not depend on where a job ran. The reactor can now wait on a
-//! lock a pool job holds: an inline ESTIMATE read-locks the `remote`
-//! filter, which a MERGE write-locks while it unions m counters, and a
-//! point frame's shard lock can be held by a pool batch on the same shard.
-//! Such a wait lasts no longer than the pool jobs already holding that
-//! lock, at most one per worker.
+//! The acceptor owns the listener. It enforces `max_connections` across
+//! every reactor with one shared count ([`Placement`]), parking the
+//! listener while the count is at the cap; the close that frees a place
+//! wakes it. Each accepted socket goes to the reactor with the fewest open
+//! connections (ties to the lowest index), through that reactor's inbox
+//! and waker, and stays there until it closes.
 //!
-//! Workers return their bytes through [`Completions`] — a mutex'd vector
-//! plus a [`Waker`] (a `UnixStream` pair whose read end lives in the
-//! epoll set), so a completion posted while the reactor sleeps
-//! interrupts the poll wait; pushes landing mid-iteration skip the
-//! syscall. One deliberate exception to "workers never touch sockets":
-//! when the connection had no buffered output at dispatch time, the
-//! worker writes its response directly (exclusive by the one-job-per-
-//! connection invariant), cutting two scheduler hops off the response
-//! path; leftovers the nonblocking socket refuses still drain through
-//! the reactor's `EPOLLOUT` machinery.
+//! # What a job holds up
+//!
+//! A job holds its reactor while it runs, so it delays the other
+//! connections on that reactor, and no others. Most jobs are k hashes and
+//! k counter probes per key. Three kinds wait on something outside the
+//! process: JOIN_PLAN (peer I/O, up to its 30 s timeout), durable
+//! mutations (a WAL fsync) and replicated mutations (the replica's ack).
+//! A job can also wait on a lock a job of another reactor holds: ESTIMATE
+//! read-locks the `remote` filter, which a MERGE write-locks while it
+//! unions m counters, and every reactor shares the shard locks.
 //!
 //! # Backpressure
 //!
 //! A connection stops being read (its `EPOLLIN` interest is dropped) when
 //! its parsed-frame queue reaches `pipeline_depth` or its write buffer
-//! passes [`WRITE_HIGH_WATER`]; reading resumes when both drain. The
-//! listener is deregistered while `max_connections` sockets are open and
-//! re-registered on the next close. Both stalls are counted
+//! passes [`WRITE_HIGH_WATER`]; reading resumes when both drain. Both
+//! stalls, and every listener park at the connection cap, are counted
 //! (`sbfd_backpressure_stalls_total`).
 //!
 //! # Timeouts and drain
 //!
-//! Idle/stalled peers are closed by the [`timer::TimerWheel`] — read
-//! timeout while waiting for bytes, write timeout while a response is
-//! draining, enforced to one tick (±10 ms). Graceful drain preserves the
-//! blocking core's contract: the listener closes first, queued-but-
-//! undispatched frames are dropped, in-flight jobs finish and their
-//! responses (including the SHUTDOWN ack) flush before the socket closes,
-//! and the reactor returns once the last connection is gone.
+//! Idle/stalled peers are closed by each reactor's [`timer::TimerWheel`] —
+//! read timeout while waiting for bytes, write timeout while a response is
+//! draining, enforced to one tick (±10 ms). `begin_shutdown` wakes every
+//! reactor and the acceptor. The acceptor stops accepting first; each
+//! reactor finishes the job it is running, drops its queued-but-unrun
+//! frames, flushes the responses it owes (including the SHUTDOWN ack),
+//! and returns once its last connection is gone. [`serve`] joins every
+//! reactor before it returns.
 
 mod conn;
 mod sys;
@@ -77,17 +72,16 @@ use std::os::unix::net::UnixStream;
 use std::time::{Duration, Instant};
 
 use crate::metrics::{self, server_metrics};
-use crate::pool::WorkerPool;
-use crate::proto::{is_point_op, ErrorCode, ProtoError, RequestRef, Response};
+use crate::proto::{ErrorCode, ProtoError, RequestRef, Response};
 use crate::server::SharedState;
-use crate::sync::atomic::{AtomicBool, Ordering};
+use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::sync::{lock_unpoisoned, Arc, Mutex};
 
 use conn::{split_frames, Connection, FrameItem};
 use sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use timer::{TimerEntry, TimerWheel};
 
-/// Token of the listen socket in the epoll set.
+/// Token of the listen socket in the acceptor's epoll set.
 const TOKEN_LISTENER: u64 = 0;
 /// Token of the waker's read end.
 const TOKEN_WAKER: u64 = 1;
@@ -99,62 +93,47 @@ const TOKEN_BASE: u64 = 2;
 /// an unbounded buffer server-side.
 const WRITE_HIGH_WATER: usize = 1 << 20;
 
-/// Wakes the reactor out of `epoll_wait` from another thread by writing
-/// one byte into a socketpair whose read end is in the epoll set. Writes
-/// that would block are dropped — the pipe being full already guarantees
-/// a pending wakeup.
+/// Wakes a reactor or the acceptor out of `epoll_wait` from another
+/// thread by writing one byte into a socketpair whose read end is in the
+/// epoll set. Writes that would block are dropped — the pipe being full
+/// already guarantees a pending wakeup.
 #[derive(Debug)]
 pub(crate) struct Waker {
     tx: UnixStream,
 }
 
 impl Waker {
+    /// A waker and the read end to register with the sleeper's epoll set.
+    fn pair() -> io::Result<(Arc<Waker>, UnixStream)> {
+        let (tx, rx) = UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        Ok((Arc::new(Waker { tx }), rx))
+    }
+
     /// Interrupts the current (or next) poll wait.
     pub(crate) fn wake(&self) {
         let _ = (&self.tx).write(&[1u8]);
     }
 }
 
-/// One worker job's result: the concatenated response frames for a batch
-/// of pipelined requests, routed back to the owning connection.
-struct Completion {
-    token: u64,
-    generation: u64,
-    bytes: Vec<u8>,
-    close: bool,
-}
-
-/// The worker→reactor return channel.
-///
-/// The waker syscall is elided while the reactor is awake (`polling`
-/// false): the event loop runs `process_completions` at the end of every
-/// iteration anyway, so a push that lands mid-iteration is picked up for
-/// free. The pre-sleep window is closed on the reactor side — it sets
-/// `polling` *before* checking the queue one last time, so a push either
-/// sees `polling` and wakes, or strictly precedes that final check
-/// (both orders are serialized through the queue mutex and SeqCst flag).
-pub(crate) struct Completions {
-    queue: Mutex<Vec<Completion>>,
-    polling: AtomicBool,
-    waker: Arc<Waker>,
-}
-
-impl Completions {
-    fn push(&self, c: Completion) {
-        lock_unpoisoned(self.queue.lock()).push(c);
-        if self.polling.load(Ordering::SeqCst) {
-            self.waker.wake();
+/// Swallows the wakeup bytes queued on a waker's read end.
+fn drain_waker(rx: &UnixStream) {
+    let mut sink = [0u8; 64];
+    loop {
+        match (&*rx).read(&mut sink) {
+            Ok(0) => return,
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => return, // WouldBlock: drained
         }
     }
+}
 
-    fn drain(&self, out: &mut Vec<Completion>) {
-        let mut queue = lock_unpoisoned(self.queue.lock());
-        out.append(&mut queue);
-    }
-
-    fn has_pending(&self) -> bool {
-        !lock_unpoisoned(self.queue.lock()).is_empty()
-    }
+/// `timeout` in whole milliseconds for `epoll_wait`, rounded up: rounding
+/// down would spin hot for the sub-ms remainder before each tick boundary.
+fn poll_ms(timeout: Duration) -> i32 {
+    timeout.as_micros().div_ceil(1000).min(i32::MAX as u128) as i32
 }
 
 /// Reactor knobs, split out of the workload configuration (see
@@ -169,15 +148,209 @@ pub(crate) struct ReactorConfig {
     pub write_timeout: Option<Duration>,
 }
 
-/// The reactor: owns the listener, the epoll set, the connection slab and
-/// the timer wheel. Single-threaded; everything it shares with workers
-/// goes through [`Completions`].
-pub(crate) struct Reactor {
-    epoll: Epoll,
+/// One reactor's side of [`Placement`].
+struct Inbox {
+    /// Sockets placed on the reactor and not yet adopted by it.
+    streams: Mutex<Vec<TcpStream>>,
+    /// Connections placed on the reactor and not yet closed.
+    open: AtomicUsize,
+    waker: Arc<Waker>,
+}
+
+/// What the acceptor and the reactors share: one inbox per reactor and
+/// the server-wide count of open connections that `max_connections`
+/// caps. Only the acceptor raises the counts and only reactors lower
+/// them, so a stale read by the acceptor can only overstate them: the
+/// cap is never exceeded.
+struct Placement {
+    /// Connections placed on any reactor and not yet closed.
+    open: AtomicUsize,
+    max: usize,
+    acceptor: Arc<Waker>,
+    inboxes: Vec<Inbox>,
+}
+
+impl Placement {
+    /// Whether `max_connections` sockets are open.
+    fn full(&self) -> bool {
+        self.open.load(Ordering::Relaxed) >= self.max
+    }
+
+    /// Hands `stream` to the reactor with the fewest open connections,
+    /// the lowest index on a tie.
+    fn place(&self, stream: TcpStream) {
+        let Some(inbox) = self
+            .inboxes
+            .iter()
+            .min_by_key(|inbox| inbox.open.load(Ordering::Relaxed))
+        else {
+            return; // no reactor (`workers` is validated nonzero)
+        };
+        self.open.fetch_add(1, Ordering::Relaxed);
+        inbox.open.fetch_add(1, Ordering::Relaxed);
+        lock_unpoisoned(inbox.streams.lock()).push(stream);
+        inbox.waker.wake();
+    }
+
+    /// Counts one of reactor `index`'s connections closed, and wakes the
+    /// acceptor when that frees a place under the cap.
+    fn release(&self, index: usize) {
+        self.inboxes[index].open.fetch_sub(1, Ordering::Relaxed);
+        if self.open.fetch_sub(1, Ordering::Relaxed) == self.max {
+            self.acceptor.wake();
+        }
+    }
+}
+
+/// Serves `listener` until the drain completes. Builds `workers`
+/// reactors, runs each on its own `sbfd-reactor-{i}` thread, accepts on
+/// the calling thread, and joins every reactor before it returns. Any
+/// failure, of the acceptor or of a reactor, begins the drain.
+pub(crate) fn serve(
     listener: TcpListener,
-    listener_armed: bool,
+    state: &Arc<SharedState>,
+    cfg: &ReactorConfig,
+    workers: usize,
+) -> io::Result<()> {
+    listener.set_nonblocking(true)?;
+    let (acceptor, acceptor_rx) = Waker::pair()?;
+    let mut receivers = Vec::with_capacity(workers);
+    let mut inboxes = Vec::with_capacity(workers);
+    for _ in 0..workers {
+        let (waker, rx) = Waker::pair()?;
+        receivers.push(rx);
+        inboxes.push(Inbox {
+            streams: Mutex::new(Vec::new()),
+            open: AtomicUsize::new(0),
+            waker,
+        });
+    }
+    let placement = Arc::new(Placement {
+        open: AtomicUsize::new(0),
+        max: cfg.max_connections,
+        acceptor,
+        inboxes,
+    });
+    let reactors = receivers
+        .into_iter()
+        .enumerate()
+        .map(|(index, waker_rx)| Reactor::new(index, waker_rx, &placement, state, cfg))
+        .collect::<io::Result<Vec<_>>>()?;
+    state.attach_wakers(
+        placement
+            .inboxes
+            .iter()
+            .map(|inbox| &inbox.waker)
+            .chain([&placement.acceptor])
+            .map(Arc::clone),
+    );
+    let mut threads = Vec::with_capacity(workers);
+    let mut served = Ok(());
+    for (index, mut reactor) in reactors.into_iter().enumerate() {
+        let spawned = std::thread::Builder::new()
+            .name(format!("sbfd-reactor-{index}"))
+            .spawn(move || {
+                // However a reactor ends (the drain, a poll error or a
+                // panicking job), the server drains: the acceptor must not
+                // place connections on a reactor that no longer serves.
+                let _drain = DrainOnExit(Arc::clone(&reactor.state));
+                reactor.run()
+            });
+        match spawned {
+            Ok(thread) => threads.push(thread),
+            Err(e) => {
+                served = Err(e);
+                break;
+            }
+        }
+    }
+    if served.is_ok() {
+        served = accept_loop(&listener, &acceptor_rx, &placement, state, cfg.poll_timeout);
+    }
+    state.begin_shutdown();
+    for thread in threads {
+        let joined = thread
+            .join()
+            .unwrap_or_else(|_| Err(io::Error::other("reactor thread panicked")));
+        served = served.and(joined);
+    }
+    served
+}
+
+/// Begins the drain when dropped, including while a panic unwinds.
+struct DrainOnExit(Arc<SharedState>);
+
+impl Drop for DrainOnExit {
+    fn drop(&mut self) {
+        self.0.begin_shutdown();
+    }
+}
+
+/// The acceptor: places every socket the listener yields, parking the
+/// listener while the server is at `max_connections`, until the drain
+/// begins.
+fn accept_loop(
+    listener: &TcpListener,
+    waker_rx: &UnixStream,
+    placement: &Placement,
+    state: &SharedState,
+    poll_timeout: Duration,
+) -> io::Result<()> {
+    let epoll = Epoll::new()?;
+    epoll.add(waker_rx.as_raw_fd(), EPOLLIN, TOKEN_WAKER)?;
+    let mut armed = false;
+    let mut events = [EpollEvent::empty(); 2];
+    while !state.draining() {
+        if armed == placement.full() {
+            if armed {
+                epoll.delete(listener.as_raw_fd())?;
+                metrics::on(|m| m.backpressure_stalls.inc());
+            } else {
+                epoll.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
+            }
+            armed = !armed;
+        }
+        let n = epoll.wait(&mut events, poll_ms(poll_timeout))?;
+        for ev in &events[..n] {
+            if ev.data == TOKEN_WAKER {
+                drain_waker(waker_rx);
+            } else {
+                accept_ready(listener, placement);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Accepts until the kernel backlog is empty or the server is full.
+fn accept_ready(listener: &TcpListener, placement: &Placement) {
+    while !placement.full() {
+        match listener.accept() {
+            Ok((stream, _peer)) => {
+                if stream.set_nonblocking(true).is_err() {
+                    continue; // drop the socket; the peer sees a close
+                }
+                // Latency over loopback is dominated by Nagle delays
+                // otherwise; best-effort is fine for nodelay alone.
+                let _ = stream.set_nodelay(true);
+                placement.place(stream);
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            // WouldBlock: the backlog is empty. Anything else is a
+            // transient failure (peer reset mid-handshake, fd pressure):
+            // keep serving.
+            Err(_) => return,
+        }
+    }
+}
+
+/// One serving thread: owns an epoll set, the connections placed on it,
+/// and their timer wheel, and runs every job of those connections itself.
+struct Reactor {
+    index: usize,
+    epoll: Epoll,
     waker_rx: UnixStream,
-    completions: Arc<Completions>,
+    placement: Arc<Placement>,
     conns: Vec<Option<Connection>>,
     free: Vec<usize>,
     active: usize,
@@ -188,48 +361,34 @@ pub(crate) struct Reactor {
 }
 
 impl Reactor {
-    /// Builds the epoll set, registers the listener and the waker, and
-    /// attaches the waker to `state` so `begin_shutdown` can interrupt
-    /// the poll wait from any thread.
-    pub(crate) fn new(
-        listener: TcpListener,
-        state: Arc<SharedState>,
-        cfg: ReactorConfig,
+    /// Builds reactor `index`'s epoll set around its waker's read end.
+    fn new(
+        index: usize,
+        waker_rx: UnixStream,
+        placement: &Arc<Placement>,
+        state: &Arc<SharedState>,
+        cfg: &ReactorConfig,
     ) -> io::Result<Self> {
-        listener.set_nonblocking(true)?;
         let epoll = Epoll::new()?;
-        let (tx, waker_rx) = UnixStream::pair()?;
-        tx.set_nonblocking(true)?;
-        waker_rx.set_nonblocking(true)?;
-        let waker = Arc::new(Waker { tx });
-        epoll.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
         epoll.add(waker_rx.as_raw_fd(), EPOLLIN, TOKEN_WAKER)?;
-        state.attach_waker(Arc::clone(&waker));
         Ok(Reactor {
+            index,
             epoll,
-            listener,
-            listener_armed: true,
             waker_rx,
-            completions: Arc::new(Completions {
-                queue: Mutex::new(Vec::new()),
-                polling: AtomicBool::new(false),
-                waker,
-            }),
+            placement: Arc::clone(placement),
             conns: Vec::new(),
             free: Vec::new(),
             active: 0,
             timers: TimerWheel::new(Instant::now()),
-            state,
-            cfg,
+            state: Arc::clone(state),
+            cfg: cfg.clone(),
             next_generation: 0,
         })
     }
 
-    /// Serves until the drain flag is up *and* every connection has
-    /// closed. `pool` outlives the call; its `join` afterwards is the
-    /// barrier for in-flight CPU work (there is none by then — drain only
-    /// completes once no job is in flight).
-    pub(crate) fn run(&mut self, pool: &WorkerPool) -> io::Result<()> {
+    /// Serves until the drain flag is up *and* every connection on this
+    /// reactor has closed.
+    fn run(&mut self) -> io::Result<()> {
         let mut events = vec![EpollEvent::empty(); 1024];
         let mut fired: Vec<TimerEntry> = Vec::new();
         loop {
@@ -242,121 +401,68 @@ impl Reactor {
                 .timers
                 .next_timeout(now)
                 .map_or(self.cfg.poll_timeout, |t| t.min(self.cfg.poll_timeout));
-            // Round up: rounding down would spin hot for the sub-ms
-            // remainder before each tick boundary.
-            let ms = timeout.as_micros().div_ceil(1000).min(i32::MAX as u128) as i32;
-            // Announce the sleep, then look at the queue once more: a
-            // completion pushed before this check is handled with a zero
-            // timeout, one pushed after it sees `polling` and wakes us.
-            self.completions.polling.store(true, Ordering::SeqCst);
-            let ms = if self.completions.has_pending() {
-                0
-            } else {
-                ms
-            };
-            let n = self.epoll.wait(&mut events, ms)?;
-            self.completions.polling.store(false, Ordering::SeqCst);
-            let mut accept_pending = false;
+            let n = self.epoll.wait(&mut events, poll_ms(timeout))?;
+            let mut adopt_pending = false;
             for ev in &events[..n] {
-                let token = ev.data;
-                let bits = ev.events;
-                match token {
-                    // Accept last: connection slots freed by events in
-                    // this same batch must not be reused while stale
-                    // events for their tokens are still queued behind us.
-                    TOKEN_LISTENER => accept_pending = true,
-                    TOKEN_WAKER => self.drain_waker(),
-                    t => self.conn_event((t - TOKEN_BASE) as usize, bits, pool),
+                match ev.data {
+                    // Adopt last: connection slots freed by events in this
+                    // same batch must not be reused while stale events for
+                    // their tokens are still queued behind us.
+                    TOKEN_WAKER => adopt_pending = true,
+                    t => self.conn_event((t - TOKEN_BASE) as usize, ev.events),
                 }
             }
-            if accept_pending {
-                self.accept_ready();
+            if adopt_pending {
+                drain_waker(&self.waker_rx);
+                self.adopt();
             }
-            self.process_completions(pool);
             self.process_timers(&mut fired);
         }
     }
 
-    /// Swallows queued wakeup bytes; the work they announce is picked up
-    /// by `process_completions` / the drain check in the same iteration.
-    fn drain_waker(&mut self) {
-        let mut sink = [0u8; 64];
-        loop {
-            match (&self.waker_rx).read(&mut sink) {
-                Ok(0) => return,
-                Ok(_) => {}
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return, // WouldBlock: drained
-            }
-        }
-    }
-
-    /// Accepts until the kernel backlog is empty or the connection cap is
-    /// reached (at which point the listener leaves the epoll set until a
-    /// slot frees up).
-    fn accept_ready(&mut self) {
-        loop {
-            if self.active >= self.cfg.max_connections {
-                if self.listener_armed {
-                    let _ = self.epoll.delete(self.listener.as_raw_fd());
-                    self.listener_armed = false;
-                    metrics::on(|m| m.backpressure_stalls.inc());
+    /// Registers every socket the acceptor placed here since the last call.
+    fn adopt(&mut self) {
+        let streams = std::mem::take(&mut *lock_unpoisoned(
+            self.placement.inboxes[self.index].streams.lock(),
+        ));
+        for stream in streams {
+            let idx = match self.free.pop() {
+                Some(i) => i,
+                None => {
+                    self.conns.push(None);
+                    self.conns.len() - 1
                 }
-                return;
+            };
+            let interest = EPOLLIN | EPOLLRDHUP;
+            if self
+                .epoll
+                .add(stream.as_raw_fd(), interest, TOKEN_BASE + idx as u64)
+                .is_err()
+            {
+                self.free.push(idx);
+                self.placement.release(self.index);
+                continue; // drop the socket; the peer sees a close
             }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue; // drop the socket; the peer sees a close
-                    }
-                    // Latency over loopback is dominated by Nagle delays
-                    // otherwise; best-effort is fine for nodelay alone.
-                    let _ = stream.set_nodelay(true);
-                    let idx = match self.free.pop() {
-                        Some(i) => i,
-                        None => {
-                            self.conns.push(None);
-                            self.conns.len() - 1
-                        }
-                    };
-                    self.next_generation += 1;
-                    let mut c =
-                        Connection::new(Arc::new(stream), self.next_generation, Instant::now());
-                    let token = TOKEN_BASE + idx as u64;
-                    let interest = EPOLLIN | EPOLLRDHUP;
-                    if self
-                        .epoll
-                        .add(c.stream.as_raw_fd(), interest, token)
-                        .is_err()
-                    {
-                        self.free.push(idx);
-                        continue;
-                    }
-                    c.interest = interest;
-                    // The gauge is process-wide (every reactor in the
-                    // process adds its own ±1), and a connection lowers it
-                    // on close only if it raised it here.
-                    metrics::on(|m| {
-                        m.connections.inc();
-                        m.connections_active.adjust(1.0);
-                        c.gauged = true;
-                    });
-                    self.conns[idx] = Some(c);
-                    self.active += 1;
-                    self.finish_or_keep(idx); // arms the idle timer
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                // Transient accept failure (peer reset mid-handshake, fd
-                // pressure): keep serving.
-                Err(_) => return,
-            }
+            self.next_generation += 1;
+            let mut c = Connection::new(stream, self.next_generation, Instant::now());
+            c.interest = interest;
+            // The gauge is process-wide (every reactor in the process adds
+            // its own ±1), and a connection lowers it on close only if it
+            // raised it here.
+            metrics::on(|m| {
+                m.connections.inc();
+                m.connections_active.adjust(1.0);
+                c.gauged = true;
+            });
+            self.conns[idx] = Some(c);
+            self.active += 1;
+            self.finish_or_keep(idx); // arms the idle timer
         }
     }
 
     /// Handles readiness on one connection: flush on writable, then
-    /// read-accumulate + frame-split on readable, then dispatch.
-    fn conn_event(&mut self, idx: usize, bits: u32, pool: &WorkerPool) {
+    /// read-accumulate + frame-split on readable, then run the jobs.
+    fn conn_event(&mut self, idx: usize, bits: u32) {
         let mut fatal = false;
         {
             let Some(Some(c)) = self.conns.get_mut(idx) else {
@@ -373,7 +479,7 @@ impl Reactor {
                     {
                         break; // backpressure: leave bytes in the kernel
                     }
-                    match (&*c.stream).read(&mut scratch) {
+                    match (&c.stream).read(&mut scratch) {
                         Ok(0) => {
                             c.peer_closed = true;
                             break;
@@ -425,94 +531,31 @@ impl Reactor {
             self.close_conn(idx);
             return;
         }
-        self.maybe_dispatch(idx, pool);
+        self.run_queued(idx);
         self.finish_or_keep(idx);
     }
 
-    /// Runs up to `pipeline_depth` queued frames as one job, inline or on
-    /// the pool (see the module docs). At most one job per connection is
-    /// in flight — that invariant is what keeps pipelined responses in
-    /// request order.
-    fn maybe_dispatch(&mut self, idx: usize, pool: &WorkerPool) {
-        if self.state.draining() {
-            return; // drain_step will close this connection
-        }
-        let (items, token, generation, direct) = {
-            let Some(Some(c)) = self.conns.get_mut(idx) else {
-                return;
-            };
-            if c.inflight || c.close_after_flush || c.queued.is_empty() {
-                return;
-            }
-            let take = c.queued.len().min(self.cfg.pipeline_depth);
-            let items: Vec<FrameItem> = c.queued.drain(..take).collect();
-            c.inflight = true;
-            // Direct-write fast path: with nothing already buffered for
-            // this socket, the worker may write its response bytes itself
-            // — no other writer can race it (one job in flight, and the
-            // reactor only writes from `write_buf`, which only refills
-            // from this job's own completion).
-            let direct = (c.pending_write() == 0).then(|| Arc::clone(&c.stream));
-            (items, TOKEN_BASE + idx as u64, c.generation, direct)
-        };
-        metrics::on(|m| {
-            m.pipeline_batches.inc();
-            m.pipeline_frames.add(items.len() as u64);
-        });
-        let state = Arc::clone(&self.state);
-        let completions = Arc::clone(&self.completions);
-        // Inline dispatch (see the module docs): for a lone connection or
-        // a job of point frames, the pool round trip — a queue send to
-        // wake a worker, a completion push and a waker write to wake the
-        // reactor — costs far more than the job itself. The completion
-        // still travels the normal path; the end-of-iteration
-        // `process_completions` picks it up without a waker syscall.
-        let durable = state.wal().is_some() || state.replicator().is_some();
-        let inline = self.active == 1
-            || items.iter().all(|item| match item {
-                FrameItem::Body(body) => body.first().is_some_and(|&op| is_point_op(op, durable)),
-                FrameItem::Reject(_) => true,
-            });
-        if inline {
-            worker_process(&state, &completions, token, generation, items, direct);
+    /// Runs the connection's queued frames as jobs of up to
+    /// `pipeline_depth` frames each, appending every job's responses to the
+    /// write buffer. Stops at a SHUTDOWN ack or once the drain begins
+    /// (`drain_step` then drops what is left).
+    fn run_queued(&mut self, idx: usize) {
+        let Some(Some(c)) = self.conns.get_mut(idx) else {
             return;
-        }
-        if !pool
-            .execute(move || worker_process(&state, &completions, token, generation, items, direct))
-        {
-            // The pool only refuses after its queue closed (drain).
-            if let Some(Some(c)) = self.conns.get_mut(idx) {
-                c.inflight = false;
+        };
+        while !c.queued.is_empty() && !c.close_after_flush && !self.state.draining() {
+            let take = c.queued.len().min(self.cfg.pipeline_depth);
+            metrics::on(|m| {
+                m.pipeline_batches.inc();
+                m.pipeline_frames.add(take as u64);
+            });
+            if run_job(&self.state, c.queued.drain(..take), &mut c.write_buf) {
+                // SHUTDOWN ack (or unframeable response): flush what is
+                // owed, serve nothing more.
                 c.close_after_flush = true;
+                c.queued.clear();
             }
-        }
-    }
-
-    /// Routes finished worker jobs back to their connections and flushes.
-    fn process_completions(&mut self, pool: &WorkerPool) {
-        let mut batch = Vec::new();
-        self.completions.drain(&mut batch);
-        for done in batch {
-            let idx = (done.token - TOKEN_BASE) as usize;
-            {
-                let Some(Some(c)) = self.conns.get_mut(idx) else {
-                    continue;
-                };
-                if c.generation != done.generation {
-                    continue; // slot was reused; completion is stale
-                }
-                c.inflight = false;
-                c.write_buf.extend_from_slice(&done.bytes);
-                c.last_activity = Instant::now();
-                if done.close {
-                    // SHUTDOWN ack (or unframeable response): flush what
-                    // is owed, serve nothing more.
-                    c.close_after_flush = true;
-                    c.queued.clear();
-                }
-            }
-            self.maybe_dispatch(idx, pool);
-            self.finish_or_keep(idx);
+            c.last_activity = Instant::now();
         }
     }
 
@@ -565,7 +608,7 @@ impl Reactor {
                 return;
             };
             while c.pending_write() > 0 {
-                match (&*c.stream).write(&c.write_buf[c.write_pos..]) {
+                match (&c.stream).write(&c.write_buf[c.write_pos..]) {
                     Ok(0) => {
                         fatal = true;
                         break;
@@ -588,7 +631,7 @@ impl Reactor {
                 c.write_pos = 0;
             }
             close_now = fatal
-                || (c.close_after_flush && !c.inflight && c.pending_write() == 0)
+                || (c.close_after_flush && c.pending_write() == 0)
                 || (c.peer_closed && c.fully_drained());
             if !close_now {
                 let backpressured = c.queued.len() >= self.cfg.pipeline_depth
@@ -646,7 +689,7 @@ impl Reactor {
     }
 
     /// Removes a connection: epoll deregistration, gauge update, slot
-    /// recycle, and listener re-arm if the cap had parked it.
+    /// recycle, and its place under the connection cap.
     fn close_conn(&mut self, idx: usize) {
         let Some(slot) = self.conns.get_mut(idx) else {
             return;
@@ -661,67 +704,36 @@ impl Reactor {
         drop(c);
         self.free.push(idx);
         self.active -= 1;
-        if !self.listener_armed
-            && !self.state.draining()
-            && self.active < self.cfg.max_connections
-            && self
-                .epoll
-                .add(self.listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)
-                .is_ok()
-        {
-            self.listener_armed = true;
-        }
+        self.placement.release(self.index);
     }
 
-    /// One drain pass: park the listener, then walk every open connection
-    /// — those with a job in flight keep running (their response must
-    /// flush), everything else drops its unserved queue and closes once
-    /// its write buffer is empty.
+    /// One drain pass: every open connection drops its unrun frames and
+    /// closes once the responses it is owed have flushed.
     fn drain_step(&mut self) {
         if !self.state.draining() {
             return;
         }
-        if self.listener_armed {
-            let _ = self.epoll.delete(self.listener.as_raw_fd());
-            self.listener_armed = false;
-        }
         for idx in 0..self.conns.len() {
-            let marked = {
-                let Some(Some(c)) = self.conns.get_mut(idx) else {
-                    continue;
-                };
-                if c.inflight {
-                    continue;
-                }
-                c.queued.clear();
-                c.close_after_flush = true;
-                true
+            let Some(Some(c)) = self.conns.get_mut(idx) else {
+                continue;
             };
-            if marked {
-                self.finish_or_keep(idx);
-            }
+            c.queued.clear();
+            c.close_after_flush = true;
+            self.finish_or_keep(idx);
         }
     }
 }
 
-/// The CPU half of a pipelined batch, run on a worker thread or inline on
-/// the reactor thread: decode, apply (drain gate + WAL ordering live in
-/// `handle_framed`), encode — then post the concatenated response bytes
-/// back to the reactor.
-fn worker_process(
-    state: &SharedState,
-    completions: &Completions,
-    token: u64,
-    generation: u64,
-    items: Vec<FrameItem>,
-    direct: Option<Arc<TcpStream>>,
-) {
-    let mut bytes = Vec::new();
+/// Runs one job: decode, apply (drain gate + WAL ordering live in
+/// `handle_framed`) and encode each frame in order, appending the
+/// responses to `out`. Returns whether the connection must close once
+/// `out` has flushed.
+fn run_job(state: &SharedState, items: impl Iterator<Item = FrameItem>, out: &mut Vec<u8>) -> bool {
     let mut close = false;
-    for item in &items {
+    for item in items {
         let started = Instant::now();
         let answered;
-        let resp = match item {
+        let resp = match &item {
             FrameItem::Body(body) => {
                 let Some((&opcode, payload)) = body.split_first() else {
                     continue; // unreachable: the splitter never emits an empty body
@@ -758,12 +770,12 @@ fn worker_process(
             metrics::on(|m| m.errors.inc());
         }
         // Encoded straight into the job's output. A response that cannot
-        // be framed leaves `bytes` ending where its frame would have
+        // be framed leaves `out` ending where its frame would have
         // started (`encode_into` truncates on error), so the fallback
         // below follows the previous frame and the peer stays framed.
-        let frame_start = bytes.len();
-        if let Err(e) = resp.encode_into(&mut bytes) {
-            debug_assert_eq!(bytes.len(), frame_start);
+        let frame_start = out.len();
+        if let Err(e) = resp.encode_into(out) {
+            debug_assert_eq!(out.len(), frame_start);
             // The response body cannot fit its u32 length field. Degrade
             // to a small typed error; this tiny frame itself always
             // encodes.
@@ -771,7 +783,7 @@ fn worker_process(
                 code: ErrorCode::Oversized,
                 message: format!("response could not be framed: {e}"),
             };
-            if fallback.encode_into(&mut bytes).is_err() {
+            if fallback.encode_into(out).is_err() {
                 close = true;
             }
         }
@@ -780,32 +792,5 @@ fn worker_process(
                 .observe(started.elapsed().as_nanos() as u64);
         });
     }
-    // Direct-write fast path: when the reactor had nothing buffered for
-    // this socket at dispatch time, write the response here and now —
-    // the peer's reply races straight to the reactor without waiting for
-    // a completion roundtrip. Whatever the (nonblocking) socket refuses
-    // travels back through the completion and drains via `EPOLLOUT`.
-    let mut sent = 0;
-    if let Some(stream) = &direct {
-        while sent < bytes.len() {
-            match (&**stream).write(&bytes[sent..]) {
-                Ok(0) => break,
-                Ok(n) => sent += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                // WouldBlock or a dead peer: the reactor's write path
-                // takes over (and surfaces the error, if any).
-                Err(_) => break,
-            }
-        }
-        if sent > 0 {
-            metrics::on(|m| m.bytes_written.add(sent as u64));
-            bytes.drain(..sent);
-        }
-    }
-    completions.push(Completion {
-        token,
-        generation,
-        bytes,
-        close,
-    });
+    close
 }

@@ -8,7 +8,7 @@
 //!
 //! - the *live* sketch — a [`ShardedSketch`]`<MsSbf>` taking all
 //!   socket-driven inserts/removes (keys route to their owning shard, so
-//!   concurrent workers rarely contend), and
+//!   concurrent reactors rarely contend), and
 //! - the *remote* filter — a plain [`MsSbf`] behind an `RwLock`,
 //!   accumulating §5 unions of client-shipped counter frames. It is
 //!   absent (`None`) until the first MERGE or snapshot restore installs
@@ -42,12 +42,11 @@ use spectral_bloom::{CounterStore, MsSbf, ShardedSketch, SketchReader};
 use crate::client::{ClientError, SbfClient};
 use crate::cluster::repl::Replicator;
 use crate::metrics;
-use crate::pool::WorkerPool;
 use crate::proto::{self, ErrorCode, Request, RequestRef, Response, MAX_FRAME_DEFAULT};
-use crate::reactor::{Reactor, ReactorConfig, Waker};
+use crate::reactor::{self, ReactorConfig, Waker};
 use crate::recovery::{self, RecoveryError, RecoveryReport};
 use crate::sync::atomic::{AtomicBool, Ordering};
-use crate::sync::{lock_unpoisoned, Arc, OnceLock, RwLock};
+use crate::sync::{lock_unpoisoned, Arc, Mutex, OnceLock, RwLock};
 use crate::wal::{self, Wal};
 
 /// Everything `sbfd` needs to start serving.
@@ -58,8 +57,8 @@ use crate::wal::{self, Wal};
 /// split into a **workload** section (geometry, shards, workers, WAL) and
 /// a **reactor** section ([`max_connections`](Self::max_connections),
 /// [`poll_timeout`](Self::poll_timeout),
-/// [`pipeline_depth`](Self::pipeline_depth)) — worker count sizes CPU
-/// parallelism only; connection capacity is the reactor's business.
+/// [`pipeline_depth`](Self::pipeline_depth)) — `workers` sizes the
+/// serving threads; connection capacity is `max_connections`.
 /// Nonsense combinations are rejected with a typed [`ConfigError`] at
 /// build/bind time rather than misbehaving at runtime.
 #[derive(Debug, Clone)]
@@ -75,8 +74,10 @@ pub struct ServerConfig {
     pub seed: u64,
     /// Shards in the live sketch.
     pub shards: usize,
-    /// Worker threads: how many pool jobs run at once (connection
-    /// capacity is `max_connections`).
+    /// Serving threads. Each runs its own reactor, owns the connections
+    /// placed on it, and runs their jobs itself, so a job holds up only
+    /// its own reactor's connections. Size to cores; connection capacity
+    /// is `max_connections`.
     pub workers: usize,
     /// Per-connection read timeout. An idle or stalled peer is dropped
     /// after this long; `None` waits forever.
@@ -101,15 +102,15 @@ pub struct ServerConfig {
     /// Periodic checkpoint interval; `None` checkpoints only on the size
     /// trigger and at graceful drain.
     pub wal_checkpoint_interval: Option<Duration>,
-    /// Most sockets the reactor keeps open at once; the listener is
+    /// Most sockets open at once, across every reactor; the listener is
     /// parked (stops accepting) while at the cap and resumes on the next
     /// close. Idle connections cost a slab slot and a timer entry, not a
     /// thread.
     pub max_connections: usize,
     /// Upper bound on one `epoll_wait`; bounds how stale the drain check
-    /// can get when nothing else wakes the reactor.
+    /// can get when nothing else wakes a reactor or the acceptor.
     pub poll_timeout: Duration,
-    /// Most pipelined frames dispatched as one job, and the per-connection
+    /// Most pipelined frames run as one job, and the per-connection
     /// parsed-frame queue depth beyond which the reactor stops reading
     /// that socket (backpressure).
     pub pipeline_depth: usize,
@@ -226,7 +227,7 @@ pub enum ConfigError {
     KAboveMax,
     /// `shards` was zero — the live sketch needs at least one shard.
     ZeroShards,
-    /// `workers` was zero — no pool job could ever run.
+    /// `workers` was zero — no reactor thread would serve a connection.
     ZeroWorkers,
     /// `read_timeout` was `Some(0)`; use `None` to wait forever.
     ZeroReadTimeout,
@@ -308,8 +309,9 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Worker threads (CPU parallelism; connection capacity is
-    /// [`max_connections`](Self::max_connections)).
+    /// Serving threads, each owning its connections (see
+    /// [`ServerConfig::workers`]); connection capacity is
+    /// [`max_connections`](Self::max_connections).
     pub fn workers(mut self, workers: usize) -> Self {
         self.cfg.workers = workers;
         self
@@ -376,7 +378,7 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Most pipelined frames per worker job (reactor knob).
+    /// Most pipelined frames per job (reactor knob).
     pub fn pipeline_depth(mut self, depth: usize) -> Self {
         self.cfg.pipeline_depth = depth;
         self
@@ -423,7 +425,7 @@ fn log_mutation(wal: &Wal, req: &RequestRef<'_>, raw_body: Option<&[u8]>) -> io:
     }
 }
 
-/// State shared by every worker: the filters, the drain flag, and the
+/// State shared by every reactor: the filters, the drain flag, and the
 /// limits connections enforce.
 #[derive(Debug)]
 pub struct SharedState {
@@ -442,10 +444,10 @@ pub struct SharedState {
     wal: OnceLock<Arc<Wal>>,
     /// The replica shipper, attached at bind when `replicate_to` is set.
     replicator: OnceLock<Arc<Replicator>>,
-    /// The reactor's poll-interrupt handle, attached when the reactor is
-    /// built; lets `begin_shutdown` from any thread cut the poll wait
-    /// short instead of waiting out the poll timeout.
-    reactor_waker: OnceLock<Arc<Waker>>,
+    /// The poll-interrupt handles of every reactor and of the acceptor,
+    /// attached when they are built; lets `begin_shutdown` from any thread
+    /// cut their poll waits short instead of waiting out the poll timeout.
+    wakers: Mutex<Vec<Arc<Waker>>>,
     m: usize,
     k: usize,
     seed: u64,
@@ -465,7 +467,7 @@ impl SharedState {
             crash: AtomicBool::new(false),
             wal: OnceLock::new(),
             replicator: OnceLock::new(),
-            reactor_waker: OnceLock::new(),
+            wakers: Mutex::new(Vec::new()),
             m: config.m,
             k: config.k,
             seed: config.seed,
@@ -480,14 +482,14 @@ impl SharedState {
         self.shutdown.load(Ordering::Acquire)
     }
 
-    /// Begins graceful shutdown: the reactor stops accepting, in-flight
-    /// requests finish and their responses flush, then every connection
-    /// closes. Wakes the reactor out of its poll wait so the drain starts
-    /// immediately.
+    /// Begins graceful shutdown: the acceptor stops accepting, running
+    /// jobs finish and their responses flush, then every connection
+    /// closes. Wakes every reactor and the acceptor out of their poll
+    /// waits so the drain starts immediately.
     pub fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
-        if let Some(w) = self.reactor_waker.get() {
-            w.wake();
+        for waker in lock_unpoisoned(self.wakers.lock()).iter() {
+            waker.wake();
         }
     }
 
@@ -527,10 +529,11 @@ impl SharedState {
         let _ = self.replicator.set(repl);
     }
 
-    pub(crate) fn attach_waker(&self, waker: Arc<Waker>) {
-        // Set once when the reactor is built (run-time only); OnceLock
-        // makes a second set a no-op.
-        let _ = self.reactor_waker.set(waker);
+    /// Registers the wakers `begin_shutdown` must interrupt. A drain that
+    /// began before this call is still seen: the threads behind these
+    /// wakers check the drain flag before their first poll wait.
+    pub(crate) fn attach_wakers(&self, wakers: impl IntoIterator<Item = Arc<Waker>>) {
+        lock_unpoisoned(self.wakers.lock()).extend(wakers);
     }
 
     /// The server's filter geometry `(m, k, seed)` — what a snapshot or
@@ -915,24 +918,14 @@ impl SbfServer {
     pub fn run(self) -> io::Result<()> {
         let checkpointer = self.spawn_checkpointer()?;
         let replication = self.spawn_replication()?;
-        let mut pool = WorkerPool::new(self.workers);
-        // The reactor owns the listener and every connection socket; the
-        // pool does only CPU work. `Reactor::run` returns once the drain
-        // flag is up *and* the last connection has flushed and closed.
-        let served = Reactor::new(
-            self.listener,
-            Arc::clone(&self.state),
-            self.reactor_cfg.clone(),
-        )
-        .and_then(|mut reactor| reactor.run(&pool));
+        // `serve` returns once the drain flag is up and every reactor has
+        // flushed and closed its last connection and been joined.
+        let served = reactor::serve(self.listener, &self.state, &self.reactor_cfg, self.workers);
         if served.is_err() {
-            // A reactor failure (epoll setup, poll error) must still take
+            // A setup failure (epoll, waker, thread spawn) must still take
             // the drain path, or the checkpointer would spin forever.
             self.state.begin_shutdown();
         }
-        // Drain: close the queue and wait for every worker to finish,
-        // then let the checkpointer notice the drain flag and exit.
-        pool.join();
         if let Some(t) = checkpointer {
             t.join()
                 .map_err(|_| io::Error::other("checkpoint thread panicked"))?;
@@ -949,7 +942,7 @@ impl SbfServer {
             return Ok(());
         }
         if let Some(wal) = self.state.wal() {
-            // Final checkpoint: all workers are done, so the snapshot is
+            // Final checkpoint: every reactor is joined, so the snapshot is
             // exact and the logs it supersedes can go — a clean restart
             // replays nothing.
             wal.checkpoint(|| self.state.snapshot_envelope())?;

@@ -2,7 +2,8 @@
 //! `sync` module for the full rationale).
 //!
 //! The daemon's shared state — shutdown/drain flags, the remote-merge
-//! filter lock, the reactor's completion queue — goes through this module, never
+//! filter lock, the reactors' inboxes and connection counts — goes
+//! through this module, never
 //! `std::sync` directly (enforced by `tests/static_guards.rs`), so
 //! `RUSTFLAGS='--cfg sbf_modelcheck'` can rebind it to the in-workspace
 //! model checker and keep the drain protocol model-checkable.
@@ -13,9 +14,7 @@ pub(crate) use std::sync::{Arc, Mutex, OnceLock, RwLock};
 /// Atomic types, mirroring `std::sync::atomic`.
 #[cfg(not(sbf_modelcheck))]
 pub(crate) mod atomic {
-    #[cfg(test)]
-    pub use std::sync::atomic::AtomicUsize;
-    pub use std::sync::atomic::{AtomicBool, Ordering};
+    pub use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 }
 
 #[cfg(sbf_modelcheck)]
@@ -24,14 +23,12 @@ pub(crate) use sbf_modelcheck::sync::{Arc, Mutex, OnceLock, RwLock};
 /// Model atomic types (checker build).
 #[cfg(sbf_modelcheck)]
 pub(crate) mod atomic {
-    #[cfg(test)]
-    pub use sbf_modelcheck::sync::atomic::AtomicUsize;
-    pub use sbf_modelcheck::sync::atomic::{AtomicBool, Ordering};
+    pub use sbf_modelcheck::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 }
 
 /// Unwraps a lock guard, propagating poisoning as a panic.
 ///
-/// A poisoned lock means a worker panicked mid-mutation; serving the
+/// A poisoned lock means a thread panicked mid-mutation; serving the
 /// half-written state would break the one-sided estimate contract, so the
 /// daemon dies loudly instead (same policy as `spectral-bloom::sync`).
 #[allow(clippy::expect_used)]

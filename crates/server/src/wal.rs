@@ -139,7 +139,7 @@ struct WalInner {
 }
 
 /// The write-ahead log: one open generation file plus the checkpoint
-/// machinery. Shared across workers behind an `Arc`.
+/// machinery. Shared across reactors behind an `Arc`.
 #[derive(Debug)]
 pub struct Wal {
     dir: PathBuf,

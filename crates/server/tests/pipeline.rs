@@ -2,7 +2,7 @@
 //! N frames must yield N ordered dispatches, partial frames must
 //! reassemble across reads, an oversized frame in the middle of a burst
 //! must be refused without desyncing its neighbours, and a thousand idle
-//! connections must cost a 4-worker server nothing but wait-set entries.
+//! connections must cost a 4-reactor server nothing but wait-set entries.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -51,9 +51,8 @@ fn read_response(stream: &mut TcpStream) -> Response {
 /// The burst runs twice. First on a lone connection with the default
 /// `pipeline_depth` (32), which 100 pairs overflow, so the burst spans
 /// several dispatch batches. Then with a second, idle connection held
-/// open and `pipeline_depth` 1, so every frame is its own job: single-key
-/// frames run on the reactor thread and batch frames on the worker pool,
-/// and the pairs cycle through every reactor/pool transition.
+/// open and `pipeline_depth` 1, so every frame is its own job and point
+/// and batch frames alternate job by job.
 #[test]
 fn many_frames_in_one_write_yield_ordered_responses() {
     const PAIRS: u64 = 100;
@@ -188,9 +187,9 @@ fn an_oversized_frame_mid_pipeline_resyncs_the_stream() {
 }
 
 /// The scaling acceptance test: 1000 idle connections parked on a server
-/// with 4 workers, while a fresh client gets batched ESTIMATE service.
-/// Idle peers are reactor wait-set entries, not threads, so the worker
-/// count never bounds the connection count.
+/// with 4 reactor threads, while a fresh client gets batched ESTIMATE
+/// service. Idle peers are reactor wait-set entries, not threads, so the
+/// `workers` count never bounds the connection count.
 #[test]
 fn a_thousand_idle_connections_are_held_by_four_workers() {
     const IDLE: usize = 1000;
