@@ -93,6 +93,32 @@ impl BitVec {
         self.len += 1;
     }
 
+    /// Appends the low `width` bits of `value`, LSB first (`width ≤ 64`).
+    ///
+    /// Bits of `value` above `width` must be zero.
+    #[inline]
+    pub fn push_bits(&mut self, value: u64, width: usize) {
+        debug_assert!(width <= 64);
+        debug_assert!(
+            width == 64 || value < (1u64 << width),
+            "value wider than field"
+        );
+        if width == 0 {
+            return;
+        }
+        let off = self.len % WORD_BITS;
+        match self.words.last_mut() {
+            Some(last) if off != 0 => {
+                *last |= value << off;
+                if off + width > WORD_BITS {
+                    self.words.push(value >> (WORD_BITS - off));
+                }
+            }
+            _ => self.words.push(value),
+        }
+        self.len += width;
+    }
+
     /// Grows (with zero bits) or shrinks to exactly `bits` bits.
     pub fn resize(&mut self, bits: usize) {
         self.words.resize(bits.div_ceil(WORD_BITS), 0);
@@ -406,6 +432,29 @@ mod tests {
         // Growing again must not resurrect old bits.
         v.resize(100);
         assert_eq!(v.count_ones(), 10);
+    }
+
+    #[test]
+    fn push_bits_matches_bitwise_pushes() {
+        let fields = [
+            (0b1u64, 1),
+            (0x2A, 7),
+            (u64::MAX, 64),
+            (0, 5),
+            (0x1FFF, 13),
+            (3, 63),
+        ];
+        let mut v = BitVec::new();
+        let mut model = BitVec::new();
+        for (value, width) in fields {
+            v.push_bits(value, width);
+            for i in 0..width {
+                model.push((value >> i) & 1 == 1);
+            }
+            assert_eq!(v, model, "after a {width}-bit field");
+        }
+        v.push_bits(0, 0);
+        assert_eq!(v, model, "a zero-width push is a no-op");
     }
 
     #[test]

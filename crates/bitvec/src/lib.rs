@@ -14,7 +14,9 @@
 //!   the variable-length access problem (§4.2) that the tests compare the
 //!   SAI against,
 //! * sequential bit readers/writers ([`BitWriter`], [`BitReader`]) used by
-//!   the Elias and "steps" encodings of §4.5.
+//!   the Elias and "steps" encodings of §4.5, and their byte-backed twins
+//!   ([`ByteWriter`], [`ByteReader`]) that code a counter vector straight
+//!   into and out of a wire frame.
 
 // Library code must surface failures as `Result`/documented panics, never
 // ad-hoc `unwrap`/`expect` (ISSUE 4 lint wall); tests keep idiomatic unwraps.
@@ -30,4 +32,4 @@ pub mod stream;
 pub use bits::BitVec;
 pub use packed::PackedVec;
 pub use rank::RankSelect;
-pub use stream::{BitReader, BitWriter};
+pub use stream::{BitReader, BitSink, BitSource, BitWriter, ByteReader, ByteWriter};

@@ -158,6 +158,13 @@ impl PlainCounters {
     }
 }
 
+impl From<Vec<u64>> for PlainCounters {
+    /// Adopts `counters` as the store, without a copy.
+    fn from(counters: Vec<u64>) -> Self {
+        PlainCounters { counters }
+    }
+}
+
 impl CounterStore for PlainCounters {
     fn with_len(m: usize) -> Self {
         PlainCounters {

@@ -9,20 +9,32 @@
 //! agreed on `(m, k, seed)`.
 
 use crate::framing::{EncodeError, WireEncode};
+use sbf_bitvec::{BitSource, ByteReader, ByteWriter};
 use sbf_encoding::{Codec, EliasDelta};
 
 /// Encodes a counter vector into a framed byte message.
 pub fn encode_counters(counters: impl ExactSizeIterator<Item = u64>) -> Vec<u8> {
-    let m = counters.len() as u64;
-    let values: Vec<u64> = counters.collect();
-    let bits = EliasDelta.encode_all(&values);
-    let mut buf = Vec::with_capacity(16 + bits.words().len() * 8);
-    buf.extend_from_slice(&m.to_le_bytes());
-    buf.extend_from_slice(&(bits.len() as u64).to_le_bytes());
-    for &w in bits.words() {
-        buf.extend_from_slice(&w.to_le_bytes());
+    let mut out = Vec::new();
+    encode_counters_into(counters, &mut out);
+    out
+}
+
+/// Appends the counter frame — `m`, the payload bit length, then the
+/// Elias-δ codewords as little-endian words — to `out`, coding each counter
+/// straight into the output bytes.
+fn encode_counters_into(counters: impl ExactSizeIterator<Item = u64>, out: &mut Vec<u8>) {
+    let m = counters.len();
+    let header = out.len();
+    // Every codeword costs at least one bit.
+    out.reserve(16 + m.div_ceil(64) * 8);
+    out.extend_from_slice(&(m as u64).to_le_bytes());
+    out.extend_from_slice(&0u64.to_le_bytes()); // bit length, patched below
+    let mut w = ByteWriter::new(out);
+    for c in counters {
+        EliasDelta.encode_to(c, &mut w);
     }
-    buf
+    let bit_len = w.finish() as u64;
+    out[header + 8..header + 16].copy_from_slice(&bit_len.to_le_bytes());
 }
 
 /// Decoding failure.
@@ -84,20 +96,27 @@ pub fn decode_counters(frame: &[u8]) -> Result<Vec<u64>, WireError> {
 /// `max_counters` and the actual frame length **before any allocation**.
 ///
 /// The header carries two attacker-controlled sizes: `m` (counter count,
-/// which sizes the output `Vec`) and `bit_len` (payload bits, which sizes
-/// the decode buffer). Checks, in order:
+/// which sizes the output `Vec`) and `bit_len` (payload bits). Checks, in
+/// order:
 ///
 /// 1. `m ≤ max_counters`, else [`WireError::Oversized`] — the caller's
 ///    allocation budget;
 /// 2. `m ≤ bit_len` — every Elias-δ codeword costs ≥ 1 bit, so a header
 ///    claiming more counters than payload bits is lying
 ///    ([`WireError::Truncated`]);
-/// 3. `bit_len` fits inside the bytes actually present, so the bit buffer
-///    is bounded by the frame the caller already holds
-///    ([`WireError::Truncated`]).
+/// 3. `bit_len` fits inside the bytes actually present
+///    ([`WireError::Truncated`]);
+/// 4. the payload is exactly the `⌈bit_len / 64⌉` words `bit_len` needs,
+///    with no bytes after them ([`WireError::BadCodeword`]);
+/// 5. each of the `m` codewords decodes inside `bit_len`, with a length
+///    field of 1 to 64 ([`WireError::BadCodeword`]);
+/// 6. the codewords fill `bit_len` exactly and the last word's padding
+///    bits are zero ([`WireError::BadCodeword`]).
 ///
+/// The encoder never emits a frame that fails 4–6. The codewords are read
+/// straight from `frame`; the only allocation is the `m`-counter output.
 /// Never panics on malformed input, and never allocates more than
-/// `O(frame.len() + max_counters)` (fuzzed in `tests/wire_adversarial.rs`).
+/// `O(max_counters)` (fuzzed in `tests/wire_adversarial.rs`).
 pub fn decode_counters_capped(frame: &[u8], max_counters: usize) -> Result<Vec<u64>, WireError> {
     if frame.len() < 16 {
         return Err(WireError::Truncated);
@@ -108,8 +127,7 @@ pub fn decode_counters_capped(frame: &[u8], max_counters: usize) -> Result<Vec<u
         return Err(WireError::Oversized);
     }
     // `m` is now known small; `bit_len` must cover ≥ 1 bit per codeword and
-    // must itself be covered by the bytes present. The second check also
-    // bounds `need_words * 8` before it is used as a slice length.
+    // must itself be covered by the bytes present.
     if m > bit_len {
         return Err(WireError::Truncated);
     }
@@ -117,37 +135,27 @@ pub fn decode_counters_capped(frame: &[u8], max_counters: usize) -> Result<Vec<u
         return Err(WireError::Truncated);
     };
     let m = m as usize; // ≤ max_counters: usize on every supported target
+    let payload = &frame[16..];
     let need_words = bit_len.div_ceil(64);
-    if frame.len() < 16 || (frame.len() - 16) / 8 < need_words {
+    if payload.len() / 8 < need_words {
         return Err(WireError::Truncated);
     }
-    let mut bits = sbf_bitvec_from_words(&frame[16..16 + need_words * 8], bit_len);
-    let mut reader = sbf_bitvec::BitReader::new(&bits);
-    let out = EliasDelta
-        .decode_all(&mut reader, m)
-        .ok_or(WireError::BadCodeword)?;
-    // Tail bits past the last codeword must be empty padding only.
-    bits.resize(bit_len);
-    Ok(out)
-}
-
-fn sbf_bitvec_from_words(bytes: &[u8], bit_len: usize) -> sbf_bitvec::BitVec {
-    let mut v = sbf_bitvec::BitVec::zeros(bit_len);
-    for (w, chunk) in bytes.chunks_exact(8).enumerate() {
-        let word = le_u64(chunk);
-        let lo = w * 64;
-        if lo >= bit_len {
-            break;
-        }
-        let width = 64.min(bit_len - lo);
-        let masked = if width == 64 {
-            word
-        } else {
-            word & ((1u64 << width) - 1)
-        };
-        v.write_bits(lo, width, masked);
+    if payload.len() != need_words * 8 {
+        return Err(WireError::BadCodeword);
     }
-    v
+    let mut reader = ByteReader::new(payload, bit_len);
+    let mut out = Vec::with_capacity(m);
+    EliasDelta
+        .decode_into(&mut reader, m, &mut out)
+        .ok_or(WireError::BadCodeword)?;
+    // Nothing may follow the last codeword: no stray bits inside
+    // `bit_len`, and zero padding up to the end of its word.
+    let used = bit_len % 64;
+    let dirty_padding = used != 0 && le_u64(&payload[payload.len() - 8..]) >> used != 0;
+    if reader.remaining() != 0 || dirty_padding {
+        return Err(WireError::BadCodeword);
+    }
+    Ok(out)
 }
 
 /// Wire size in bytes of a counter vector without materializing the frame.
@@ -209,19 +217,49 @@ pub struct FilterEnvelope {
     pub counters: Vec<u64>,
 }
 
+/// Serializes a [`FilterEnvelope`] from borrowed parts — the same bytes as
+/// [`FilterEnvelope::encode`], coded straight from `counters` (a filter's
+/// own counter slice, say) without first collecting them into an
+/// envelope.
+pub fn encode_envelope(
+    kind: FilterKind,
+    k: u32,
+    seed: u64,
+    counters: impl ExactSizeIterator<Item = u64>,
+) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_envelope_into(kind, k, seed, counters, &mut out);
+    out
+}
+
+fn encode_envelope_into(
+    kind: FilterKind,
+    k: u32,
+    seed: u64,
+    counters: impl ExactSizeIterator<Item = u64>,
+    out: &mut Vec<u8>,
+) {
+    out.reserve(18);
+    out.extend_from_slice(&0x5BF0_CAFEu32.to_le_bytes()); // magic
+    out.push(1); // version
+    out.push(kind.to_byte());
+    out.extend_from_slice(&k.to_le_bytes());
+    out.extend_from_slice(&seed.to_le_bytes());
+    encode_counters_into(counters, out);
+}
+
 impl WireEncode for FilterEnvelope {
     /// Infallible arm of the shared encode trait: the envelope frames its
     /// counter *count* as `u64`, so no `u32` narrowing ever happens and
     /// this never returns [`EncodeError`].
     fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), EncodeError> {
-        let payload = encode_counters(self.counters.iter().copied());
-        out.reserve(18 + payload.len());
-        out.extend_from_slice(&0x5BF0_CAFEu32.to_le_bytes()); // magic
-        out.push(1); // version
-        out.push(self.kind.to_byte());
-        out.extend_from_slice(&self.k.to_le_bytes());
-        out.extend_from_slice(&self.seed.to_le_bytes());
-        out.extend_from_slice(&payload);
+        encode_envelope_into(
+            self.kind,
+            self.k,
+            self.seed,
+            self.counters.iter().copied(),
+            out,
+        );
         Ok(())
     }
 }

@@ -34,8 +34,16 @@ pub trait Codec {
     }
 
     /// Decodes exactly `count` codewords from `r`.
+    ///
+    /// Reserves room for `count` values up front, bounded by the bits left
+    /// (every codeword costs at least one), so a hostile `count` cannot
+    /// size the allocation.
     fn decode_all(&self, r: &mut BitReader<'_>, count: usize) -> Option<Vec<u64>> {
-        (0..count).map(|_| self.decode(r)).collect()
+        let mut out = Vec::with_capacity(count.min(r.remaining()));
+        for _ in 0..count {
+            out.push(self.decode(r)?);
+        }
+        Some(out)
     }
 }
 

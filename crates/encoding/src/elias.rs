@@ -7,39 +7,62 @@
 
 use crate::bit_len;
 use crate::codec::Codec;
-use sbf_bitvec::{BitReader, BitWriter};
+use sbf_bitvec::{BitReader, BitSink, BitSource, BitWriter};
 
-/// Writes the binary digits of `v` MSB-first, `width` of them.
+/// The low `width` bits of `v` in MSB-first stream order, as the
+/// LSB-first field the bit cursors write: one bit reversal. It is its own
+/// inverse, so it also turns a field read back into the value. Width 0
+/// yields 0.
 #[inline]
-fn write_msb(v: u64, width: usize, w: &mut BitWriter) {
-    for i in (0..width).rev() {
-        w.write_bit((v >> i) & 1 == 1);
-    }
-}
-
-/// Reads `width` bits MSB-first.
-#[inline]
-fn read_msb(width: usize, r: &mut BitReader<'_>) -> Option<u64> {
-    let mut v = 0u64;
-    for _ in 0..width {
-        v = (v << 1) | u64::from(r.read_bit()?);
-    }
-    Some(v)
+fn msb_first(v: u64, width: usize) -> u64 {
+    debug_assert!(width <= 64);
+    v.reverse_bits().checked_shr(64 - width as u32).unwrap_or(0)
 }
 
 /// Encodes positive `n`: `⌊log₂n⌋` zeros, then `n` MSB-first (leading 1
-/// included). Length `2⌊log₂n⌋ + 1`.
-fn gamma_encode_pos(n: u64, w: &mut BitWriter) {
+/// included). Length `2⌊log₂n⌋ + 1`: one field write up to 64 bits, two
+/// beyond.
+#[inline]
+fn gamma_encode_pos<S: BitSink>(n: u64, w: &mut S) {
     debug_assert!(n >= 1);
     let len = bit_len(n);
-    w.write_run(false, len - 1);
-    write_msb(n, len, w);
+    let width = 2 * len - 1;
+    if width <= 64 {
+        // The `len − 1` high zeros of the field are the unary run.
+        w.write(msb_first(n, width), width);
+    } else {
+        w.write(0, len - 1);
+        w.write(msb_first(n, len), len);
+    }
 }
 
-fn gamma_decode_pos(r: &mut BitReader<'_>) -> Option<u64> {
-    let zeros = r.read_unary_zeros()?;
-    // The next bit is the leading 1; read it plus `zeros` more.
-    read_msb(zeros + 1, r)
+/// The next `min(64, remaining)` bits of `r` in stream order from the top
+/// bit down (unused low bits zero): one bit reversal of a peeked word, after
+/// which an MSB-first codeword reads with plain shifts.
+#[inline]
+fn peek_msb_first<R: BitSource>(r: &R) -> (u64, usize) {
+    (r.peek().reverse_bits(), r.remaining().min(64))
+}
+
+/// Decodes a γ codeword: the leading zeros of one peeked word are the
+/// unary run, and the rest is one field. `None` on a truncated stream or a
+/// run too long for any `u64`.
+#[inline]
+fn gamma_decode_pos<R: BitSource>(r: &mut R) -> Option<u64> {
+    let (word, avail) = peek_msb_first(r);
+    let zeros = word.leading_zeros() as usize;
+    if zeros >= avail {
+        return None;
+    }
+    let width = 2 * zeros + 1;
+    if width <= avail {
+        r.consume(width);
+        Some(word >> (64 - width))
+    } else {
+        // The leading 1 plus `zeros` more bits: at most 64.
+        r.consume(zeros);
+        Some(msb_first(r.read(zeros + 1)?, zeros + 1))
+    }
 }
 
 /// Elias γ over `u64` (internally coding `v + 1`).
@@ -87,24 +110,151 @@ impl Codec for EliasGamma {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EliasDelta;
 
-impl Codec for EliasDelta {
-    fn encode(&self, value: u64, w: &mut BitWriter) {
+impl EliasDelta {
+    /// Appends the codeword for `value` to any bit sink — the one δ
+    /// encoder behind [`Codec::encode`] and the wire envelope. At most two
+    /// field writes: one when the codeword fits a word, which it does for
+    /// every value below `2^54 − 1`.
+    ///
+    /// # Panics
+    ///
+    /// If `value` exceeds [`Codec::max_value`].
+    #[inline]
+    pub fn encode_to<S: BitSink>(&self, value: u64, w: &mut S) {
         assert!(value <= self.max_value(), "value out of EliasDelta domain");
         let n = value + 1;
-        let len = bit_len(n) as u64;
-        gamma_encode_pos(len, w);
-        // n without its leading 1 bit, MSB first.
-        write_msb(n & !(1 << (len - 1)), (len - 1) as usize, w);
+        let len = bit_len(n);
+        let header = 2 * bit_len(len as u64) - 1;
+        // n without its leading 1 bit.
+        let rest_width = len - 1;
+        let rest = n ^ (1 << rest_width);
+        let width = header + rest_width;
+        if width <= 64 {
+            let code = ((len as u64) << rest_width) | rest;
+            w.write(msb_first(code, width), width);
+        } else {
+            w.write(msb_first(len as u64, header), header);
+            w.write(msb_first(rest, rest_width), rest_width);
+        }
+    }
+
+    /// Decodes one codeword from any bit source — the one δ decoder behind
+    /// [`Codec::decode`], [`Codec::decode_all`] and the wire envelope. One
+    /// peeked word covers the whole codeword for every value below
+    /// `2^54 − 1`; longer ones take one more field read.
+    ///
+    /// Returns `None` on a truncated stream or a length field of 0 or
+    /// above 64 (the reader position is then unspecified).
+    #[inline]
+    pub fn decode_from<R: BitSource>(&self, r: &mut R) -> Option<u64> {
+        let (word, avail) = peek_msb_first(r);
+        match delta_in_word(word, avail) {
+            Fit::Whole(value, width) => {
+                r.consume(width);
+                Some(value)
+            }
+            Fit::Bad => None,
+            // Cut short by the end of the stream.
+            Fit::Spills if avail < 64 => None,
+            Fit::Spills => {
+                // Over 64 bits: the header is whole in `word`, the rest of
+                // `n` is one more field.
+                let header = 2 * word.leading_zeros() as usize + 1;
+                let rest_width = (word >> (64 - header)) as usize - 1;
+                r.consume(header);
+                let rest = msb_first(r.read(rest_width)?, rest_width);
+                Some(((1u64 << rest_width) | rest) - 1)
+            }
+        }
+    }
+
+    /// Decodes `count` codewords onto the end of `out`, several from each
+    /// peeked word: a codeword that ends inside the current word costs no
+    /// new read. Same results and failures as `count` calls of
+    /// [`EliasDelta::decode_from`].
+    pub fn decode_into<R: BitSource>(
+        &self,
+        r: &mut R,
+        count: usize,
+        out: &mut Vec<u64>,
+    ) -> Option<()> {
+        // `word` holds the next `avail` bits from its top bit down; `used`
+        // bits before them are decoded but not yet consumed from `r`.
+        let (mut word, mut avail) = peek_msb_first(r);
+        let mut used = 0;
+        for _ in 0..count {
+            if let Fit::Whole(value, width) = delta_in_word(word, avail) {
+                out.push(value);
+                // Two shifts: `width` may be 64.
+                word = (word << (width - 1)) << 1;
+                avail -= width;
+                used += width;
+            } else {
+                r.consume(used);
+                used = 0;
+                out.push(self.decode_from(r)?);
+                (word, avail) = peek_msb_first(r);
+            }
+        }
+        r.consume(used);
+        Some(())
+    }
+}
+
+/// How a δ codeword starting at the top bit of a peeked word lies in it.
+enum Fit {
+    /// Whole inside the valid bits: the value and the codeword's width.
+    Whole(u64, usize),
+    /// Runs past the valid bits, or they end before its length is known.
+    Spills,
+    /// Its length field is above 64: no stream continues it validly.
+    Bad,
+}
+
+/// Locates the δ codeword at the top of `word` (stream order from the top
+/// bit down), of which the high `avail` bits are valid: the leading zeros
+/// are the γ run of the length field, and shifts cut out the length and
+/// the rest of `n`.
+#[inline]
+fn delta_in_word(word: u64, avail: usize) -> Fit {
+    let zeros = (word.leading_zeros() as usize).min(avail);
+    // A length of at most 64 has at most 7 bits, so at most 6 zeros.
+    if zeros > 6 {
+        return Fit::Bad;
+    }
+    let header = 2 * zeros + 1;
+    if header > avail {
+        return Fit::Spills;
+    }
+    let len = (word >> (64 - header)) as usize;
+    // The γ run ends in its leading 1, so a length of 0 cannot occur;
+    // the guard keeps `len − 1` safe without leaning on that.
+    if len == 0 || len > 64 {
+        return Fit::Bad;
+    }
+    let rest_width = len - 1;
+    let width = header + rest_width;
+    if width > avail {
+        return Fit::Spills;
+    }
+    // Two shifts: `rest_width` may be 0.
+    let rest = ((word << header) >> 1) >> (63 - rest_width);
+    Fit::Whole(((1u64 << rest_width) | rest) - 1, width)
+}
+
+impl Codec for EliasDelta {
+    fn encode(&self, value: u64, w: &mut BitWriter) {
+        self.encode_to(value, w);
     }
 
     fn decode(&self, r: &mut BitReader<'_>) -> Option<u64> {
-        let len = gamma_decode_pos(r)?;
-        if len == 0 || len > 64 {
-            return None;
-        }
-        let rest = read_msb((len - 1) as usize, r)?;
-        let n = (1u64 << (len - 1)) | rest;
-        Some(n - 1)
+        self.decode_from(r)
+    }
+
+    fn decode_all(&self, r: &mut BitReader<'_>, count: usize) -> Option<Vec<u64>> {
+        let mut out = Vec::with_capacity(count.min(r.remaining()));
+        self.decode_into(r, count, &mut out)?;
+        Some(out)
     }
 
     fn encoded_len(&self, value: u64) -> usize {
@@ -122,6 +272,7 @@ mod tests {
     use super::*;
     use crate::codec::test_support::roundtrip;
     use proptest::prelude::*;
+    use sbf_bitvec::BitVec;
 
     #[test]
     fn gamma_known_codewords() {
@@ -190,6 +341,64 @@ mod tests {
         for v in [1_000u64, 1_000_000, 1 << 40] {
             assert!(EliasDelta.encoded_len(v) < EliasGamma.encoded_len(v));
         }
+    }
+
+    #[test]
+    fn every_length_roundtrips_at_every_word_offset() {
+        // Both ends of every value length (1..=64 bits of v + 1), placed at
+        // each bit offset of a word, so one- and two-write codewords and
+        // codewords straddling a word boundary are all covered.
+        let vals: Vec<u64> = (1..=64u32)
+            .flat_map(|len| {
+                let lo = (1u64 << (len - 1)) - 1;
+                let hi = if len == 64 {
+                    u64::MAX - 1
+                } else {
+                    (1u64 << len) - 2
+                };
+                [lo, hi]
+            })
+            .collect();
+        for offset in 0..64 {
+            let mut w = BitWriter::new();
+            w.write(0, offset);
+            for &v in &vals {
+                EliasDelta.encode(v, &mut w);
+                EliasGamma.encode(v, &mut w);
+            }
+            let bits = w.finish();
+            let mut r = BitReader::new(&bits);
+            assert_eq!(r.read(offset), Some(0));
+            for &v in &vals {
+                assert_eq!(
+                    EliasDelta.decode(&mut r),
+                    Some(v),
+                    "δ v={v} offset={offset}"
+                );
+                assert_eq!(
+                    EliasGamma.decode(&mut r),
+                    Some(v),
+                    "γ v={v} offset={offset}"
+                );
+            }
+            assert_eq!(r.remaining(), 0);
+        }
+    }
+
+    #[test]
+    fn delta_rejects_lengths_above_64() {
+        // γ(65) as a length field: 6 zeros then 1000001.
+        let mut w = BitWriter::new();
+        w.write_run(false, 6);
+        for bit in [1, 0, 0, 0, 0, 0, 1] {
+            w.write_bit(bit == 1);
+        }
+        w.write(0, 64);
+        let bits = w.finish();
+        assert_eq!(EliasDelta.decode(&mut BitReader::new(&bits)), None);
+        // A run of 7 zeros can only start a length of 128 or more.
+        let bits = BitVec::from_bools(&[false; 70]);
+        assert_eq!(EliasDelta.decode(&mut BitReader::new(&bits)), None);
     }
 
     #[test]

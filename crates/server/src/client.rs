@@ -23,9 +23,11 @@
 //! # Ok::<(), sbf_server::ClientError>(())
 //! ```
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
+
+use sbf_db::wire::WireError;
 
 use crate::proto::{self, ErrorCode, ProtoError, Request, RequestRef, Response, MAX_FRAME_DEFAULT};
 
@@ -134,6 +136,17 @@ pub enum ClientError {
         /// The client's cap.
         cap: usize,
     },
+    /// A filter envelope the server shipped did not decode within the
+    /// caller's counter cap.
+    Envelope(WireError),
+    /// A filter envelope the server shipped decoded, but its `(m, k, seed)`
+    /// differs from the geometry the caller expects.
+    Geometry {
+        /// The caller's geometry.
+        expected: (usize, usize, u64),
+        /// The envelope's geometry.
+        got: (usize, usize, u64),
+    },
 }
 
 impl std::fmt::Display for ClientError {
@@ -146,6 +159,12 @@ impl std::fmt::Display for ClientError {
             ClientError::Oversized { declared, cap } => {
                 write!(f, "response frame of {declared} bytes exceeds cap {cap}")
             }
+            ClientError::Envelope(e) => write!(f, "filter envelope: {e}"),
+            ClientError::Geometry { expected, got } => write!(
+                f,
+                "filter envelope geometry (m={}, k={}, seed={}) != expected (m={}, k={}, seed={})",
+                got.0, got.1, got.2, expected.0, expected.1, expected.2
+            ),
         }
     }
 }
@@ -414,6 +433,29 @@ impl SbfClient {
     /// server with malformed input — then reads one response frame.
     pub fn raw_roundtrip(&mut self, frame: &[u8]) -> Result<Response, ClientError> {
         self.stream.write_all(frame)?;
+        self.stream.flush()?;
+        self.read_response()
+    }
+
+    /// Sends one frame given its body (`opcode + payload`, no length
+    /// prefix), then reads one response frame. The 4-byte prefix and the
+    /// borrowed body go out in vectored writes, so the frame is never
+    /// copied into one buffer. `Unsupported` if the body is too long for
+    /// the prefix.
+    pub(crate) fn body_roundtrip(&mut self, body: &[u8]) -> Result<Response, ClientError> {
+        let len = u32::try_from(body.len())
+            .map_err(|_| io::Error::new(io::ErrorKind::Unsupported, "frame body over 4 GiB"))?
+            .to_le_bytes();
+        let mut bufs = [IoSlice::new(&len), IoSlice::new(body)];
+        let mut bufs = &mut bufs[..];
+        while !bufs.is_empty() {
+            match self.stream.write_vectored(bufs) {
+                Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero).into()),
+                Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
         self.stream.flush()?;
         self.read_response()
     }

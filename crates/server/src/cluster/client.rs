@@ -54,7 +54,8 @@ pub enum ClusterError {
 
 impl ClusterError {
     /// Whether this is a typed geometry refusal (the HELLO handshake or a
-    /// JOIN filter fetch answered [`Incompatible`]).
+    /// JOIN filter fetch answered [`Incompatible`], or a node's SNAPSHOT
+    /// envelope does not match the topology's geometry).
     ///
     /// [`Incompatible`]: crate::proto::ErrorCode::Incompatible
     pub fn is_incompatible(&self) -> bool {
@@ -64,7 +65,7 @@ impl ClusterError {
             ClientError::Server {
                 code: crate::proto::ErrorCode::Incompatible,
                 ..
-            }
+            } | ClientError::Geometry { .. }
         )
     }
 }
@@ -481,7 +482,14 @@ impl ClusterClient {
     /// The §5 union of every node's filter: each node's SNAPSHOT envelope
     /// fetched (reads; fail over) and counter-added into one envelope —
     /// the whole cluster's mass as a single wire-compatible frame.
+    ///
+    /// Each envelope is decoded with the topology's `m` as its counter
+    /// cap, so a misbehaving node cannot size the client's allocation; one
+    /// that does not decode fails as [`ClientError::Envelope`], and one
+    /// whose `(m, k, seed)` differs from the topology's as
+    /// [`ClientError::Geometry`].
     pub fn snapshot_union(&mut self) -> Result<FilterEnvelope, ClusterError> {
+        let (m, k, seed) = self.topology.geometry();
         let mut merged: Option<FilterEnvelope> = None;
         for node in 0..self.topology.num_nodes() {
             let bytes = match self.read_roundtrip(node, &RequestRef::Snapshot)? {
@@ -492,21 +500,16 @@ impl ClusterClient {
                     );
                 }
             };
-            let env = FilterEnvelope::decode(&bytes).map_err(|_| {
-                self.node_error(
-                    node,
-                    ClientError::Unexpected("snapshot envelope did not decode"),
-                )
-            })?;
+            let env = FilterEnvelope::decode_capped(&bytes, m)
+                .map_err(|e| self.node_error(node, ClientError::Envelope(e)))?;
+            let got = (env.counters.len(), env.k as usize, env.seed);
+            if got != (m, k, seed) {
+                let expected = (m, k, seed);
+                return Err(self.node_error(node, ClientError::Geometry { expected, got }));
+            }
             merged = Some(match merged {
                 None => env,
                 Some(mut acc) => {
-                    if acc.counters.len() != env.counters.len() {
-                        return Err(self.node_error(
-                            node,
-                            ClientError::Unexpected("snapshot geometry mismatch across nodes"),
-                        ));
-                    }
                     for (a, b) in acc.counters.iter_mut().zip(&env.counters) {
                         *a = a.saturating_add(*b);
                     }

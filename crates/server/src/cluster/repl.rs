@@ -96,31 +96,32 @@ impl Replicator {
     /// — see module docs). `false` means the caller must not acknowledge
     /// the mutation.
     pub(crate) fn ship(&self, req: &RequestRef<'_>, raw_body: Option<&[u8]>) -> bool {
-        // Rebuild the full frame: 4-byte LE length prefix + body, the
-        // same bytes `Request::encode` emits and the WAL logs.
-        let frame = match raw_body {
-            Some(body) => {
-                let Ok(len) = u32::try_from(body.len()) else {
-                    return false;
-                };
-                let mut f = Vec::with_capacity(4 + body.len());
-                f.extend_from_slice(&len.to_le_bytes());
-                f.extend_from_slice(body);
-                f
-            }
+        // The full frame is the 4-byte LE length prefix + body, the same
+        // bytes `Request::encode` emits and the WAL logs. A borrowed body
+        // is shipped as is; only a request without one is encoded here.
+        let encoded;
+        let body = match raw_body {
+            Some(body) => body,
             None => match req.encode() {
-                Ok(f) => f,
+                Ok(frame) => {
+                    encoded = frame;
+                    &encoded[4..]
+                }
                 Err(_) => return false,
             },
         };
+        if u32::try_from(body.len()).is_err() {
+            return false;
+        }
+        let frame_len = 4 + body.len() as u64;
         let mut st = lock_unpoisoned(self.state.lock());
         let Some(conn) = st.conn.as_mut() else {
-            st.lag_bytes += frame.len() as u64;
+            st.lag_bytes += frame_len;
             let lag = st.lag_bytes;
             metrics::on(|m| m.repl_lag_bytes.set_u64(lag));
             return false;
         };
-        match conn.raw_roundtrip(&frame) {
+        match conn.body_roundtrip(body) {
             Ok(Response::Ok)
             | Ok(Response::Error {
                 code: ErrorCode::Underflow,
@@ -135,7 +136,7 @@ impl Replicator {
                 // geometry change): drop the link; the background thread
                 // re-bootstraps.
                 st.conn = None;
-                st.lag_bytes += frame.len() as u64;
+                st.lag_bytes += frame_len;
                 let lag = st.lag_bytes;
                 metrics::on(|m| m.repl_lag_bytes.set_u64(lag));
                 false
@@ -197,6 +198,43 @@ mod tests {
         assert_eq!(repl.shipped(), 0);
         let st = lock_unpoisoned(repl.state.lock());
         assert!(st.lag_bytes > 0, "a failed ship must count toward lag");
+    }
+
+    #[test]
+    fn ship_sends_the_request_frame_byte_for_byte() {
+        use std::io::{Read, Write};
+        use std::net::TcpListener;
+
+        // A stand-in replica: reads one frame per ship, answers Ok, and
+        // hands back the bytes it read.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let replica = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let ok = Response::Ok.encode().unwrap();
+            let mut frames = Vec::new();
+            for _ in 0..2 {
+                let mut len = [0u8; 4];
+                stream.read_exact(&mut len).unwrap();
+                let mut frame = len.to_vec();
+                frame.resize(4 + u32::from_le_bytes(len) as usize, 0);
+                stream.read_exact(&mut frame[4..]).unwrap();
+                stream.write_all(&ok).unwrap();
+                frames.push(frame);
+            }
+            frames
+        });
+        let repl = Replicator::new(addr.to_string());
+        lock_unpoisoned(repl.state.lock()).conn = Some(SbfClient::builder(addr).connect().unwrap());
+
+        let keys: Vec<Vec<u8>> = (0u32..700).map(|i| i.to_le_bytes().to_vec()).collect();
+        let req = crate::proto::Request::InsertBatch { keys };
+        let frame = req.encode().unwrap();
+        // With the transport's body, and re-encoded without one.
+        assert!(repl.ship(&req.view(), Some(&frame[4..])));
+        assert!(repl.ship(&req.view(), None));
+        assert_eq!(repl.shipped(), 2);
+        assert_eq!(replica.join().unwrap(), vec![frame.clone(), frame]);
     }
 
     #[test]

@@ -136,7 +136,7 @@ pub fn recover(dir: &Path, state: &SharedState) -> Result<RecoveryReport, Recove
                 )));
             }
             report.snapshot_mass = env.counters.iter().sum();
-            state.absorb_envelope(&env);
+            state.absorb_envelope(env);
             report.snapshot_loaded = true;
         }
         Err(e) if e.kind() == io::ErrorKind::NotFound => {}

@@ -36,8 +36,8 @@ use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use sbf_db::wire::{FilterEnvelope, FilterKind};
-use spectral_bloom::{CounterStore, MsSbf, ShardedSketch, SketchReader};
+use sbf_db::wire::{encode_envelope, FilterEnvelope, FilterKind};
+use spectral_bloom::{DefaultFamily, MsSbf, PlainCounters, ShardedSketch, SketchReader};
 
 use crate::client::{ClientError, SbfClient};
 use crate::cluster::repl::Replicator;
@@ -399,14 +399,14 @@ impl ServerConfigBuilder {
 }
 
 /// Rebuilds a concrete MS sketch from a decoded envelope so it can be
-/// unioned into the remote filter. Mirrors `sbf-cli`'s rehydration: both
-/// MS and MI wire frames are plain counter vectors queried the same way.
-fn rehydrate(env: &FilterEnvelope) -> MsSbf {
-    let mut sbf = MsSbf::new(env.counters.len().max(1), env.k as usize, env.seed);
-    for (i, &c) in env.counters.iter().enumerate() {
-        sbf.core_mut().store_mut().set(i, c);
-    }
-    sbf
+/// unioned into the remote filter, adopting the decoded counters as its
+/// store. Mirrors `sbf-cli`'s rehydration: both MS and MI wire frames are
+/// plain counter vectors queried the same way. Every caller has checked
+/// the envelope against the server's geometry, so it holds `m ≥ 1`
+/// counters.
+fn rehydrate(env: FilterEnvelope) -> MsSbf {
+    let family = DefaultFamily::new(env.counters.len(), env.k as usize, env.seed);
+    MsSbf::with_parts(family, PlainCounters::from(env.counters))
 }
 
 /// Appends one acknowledged mutation to the WAL. The logged payload is
@@ -544,7 +544,7 @@ impl SharedState {
 
     /// Unions an already-validated envelope into the remote filter
     /// (recovery's snapshot restore; same mass placement as MERGE).
-    pub(crate) fn absorb_envelope(&self, env: &FilterEnvelope) {
+    pub(crate) fn absorb_envelope(&self, env: FilterEnvelope) {
         self.union_remote(rehydrate(env));
     }
 
@@ -599,7 +599,7 @@ impl SharedState {
 
     /// The §5 union of both filters — live shards plus the remote mass —
     /// as one whole-range sketch (the state SNAPSHOT and JOIN_PLAN both
-    /// answer from).
+    /// answer from; SNAPSHOT skips the copy when there is no remote mass).
     fn merged_filter(&self) -> MsSbf {
         let mut merged = (*self.sketch.snapshot_cached()).clone();
         if let Some(remote) = lock_unpoisoned(self.remote.read()).as_ref() {
@@ -612,15 +612,21 @@ impl SharedState {
     /// wire-encoded envelope, byte-compatible with `sbf-db` files and
     /// `sbf` CLI subcommands.
     pub fn snapshot_envelope(&self) -> Vec<u8> {
-        let merged = self.merged_filter();
-        let store = merged.core().store();
-        FilterEnvelope {
-            kind: FilterKind::MinimumSelection,
-            k: self.k as u32,
-            seed: self.seed,
-            counters: (0..self.m).map(|i| store.get(i)).collect(),
+        let encode = |filter: &MsSbf| {
+            let counters = filter.core().store().as_slice().iter().copied();
+            encode_envelope(
+                FilterKind::MinimumSelection,
+                self.k as u32,
+                self.seed,
+                counters,
+            )
+        };
+        if lock_unpoisoned(self.remote.read()).is_none() {
+            // No remote mass: the cached union of the shards is the whole
+            // filter, coded in place.
+            return encode(&self.sketch.snapshot_cached());
         }
-        .encode()
+        encode(&self.merged_filter())
     }
 
     /// Applies one decoded request and produces its response. Protocol
@@ -753,7 +759,7 @@ impl SharedState {
         // Any FilterKind is accepted: MS and MI frames are both plain
         // counter vectors, and counter addition keeps estimates one-sided
         // regardless of which insertion policy built them.
-        self.union_remote(rehydrate(&env));
+        self.union_remote(rehydrate(env));
         Response::Ok
     }
 
@@ -827,7 +833,7 @@ impl SharedState {
         };
         let local = self.merged_filter();
         let mut product = local.clone();
-        product.multiply_assign(&rehydrate(&env));
+        product.multiply_assign(&rehydrate(env));
         let values = keys
             .iter()
             .zip(&peer_ests)
@@ -1081,7 +1087,7 @@ impl Drop for ServerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spectral_bloom::MultisetSketch;
+    use spectral_bloom::{CounterStore, MultisetSketch};
 
     fn state(m: usize) -> SharedState {
         SharedState::new(&ServerConfig {

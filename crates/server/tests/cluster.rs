@@ -13,10 +13,11 @@ use std::time::{Duration, Instant};
 
 use sbf_db::join::{spectral_bloomjoin_verified, JoinPlan};
 use sbf_db::relation::Relation;
+use sbf_db::wire::{FilterEnvelope, FilterKind, WireError};
 use sbf_server::metrics::server_metrics;
 use sbf_server::{
-    ClientError, ClusterClient, ClusterError, ClusterTopology, ErrorCode, NodeSpec, SbfClient,
-    SbfServer, ServerConfig, ServerHandle,
+    ClientError, ClusterClient, ClusterError, ClusterTopology, ErrorCode, NodeSpec, Request,
+    Response, SbfClient, SbfServer, ServerConfig, ServerHandle,
 };
 use sbf_workloads::ZipfWorkload;
 use spectral_bloom::{CounterStore, MsSbf, SketchReader};
@@ -135,6 +136,79 @@ fn geometry_mismatch_is_refused_at_handshake() {
         other => panic!("expected Incompatible, got {other:?}"),
     }
     node.shutdown_and_join().unwrap();
+}
+
+/// A node that passes the HELLO handshake and then answers every SNAPSHOT
+/// with `envelope`: the misbehaving peer `snapshot_union` must not trust.
+fn spawn_lying_node(envelope: Vec<u8>) -> String {
+    use std::io::{Read, Write};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut len = [0u8; 4];
+        while stream.read_exact(&mut len).is_ok() {
+            let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
+            stream.read_exact(&mut body).unwrap();
+            let resp = match Request::decode(body[0], &body[1..]).unwrap() {
+                Request::Snapshot => Response::Frame(envelope.clone()),
+                _ => Response::Ok,
+            };
+            stream.write_all(&resp.encode().unwrap()).unwrap();
+        }
+    });
+    addr
+}
+
+#[test]
+fn snapshot_union_refuses_envelopes_off_the_topology() {
+    let envelope = |m: usize, k: u32, seed: u64| {
+        FilterEnvelope {
+            kind: FilterKind::MinimumSelection,
+            k,
+            seed,
+            counters: vec![1; m],
+        }
+        .encode()
+    };
+    let union_of = |lying: Vec<u8>| {
+        let topo = ClusterTopology::new(vec![NodeSpec::solo(spawn_lying_node(lying))], M, K, SEED)
+            .unwrap();
+        ClusterClient::connect(topo).unwrap().snapshot_union()
+    };
+    // More counters than the topology's m: refused by the decode cap
+    // before the client reserves room for them.
+    match union_of(envelope(M + 1, K as u32, SEED)) {
+        Err(ClusterError::Node {
+            source: ClientError::Envelope(WireError::Oversized),
+            ..
+        }) => {}
+        other => panic!("want an Oversized envelope error, got {other:?}"),
+    }
+    // Fewer counters, another k, another seed: a typed geometry error.
+    for (m, k, seed) in [(M - 1, K, SEED), (M, K + 1, SEED), (M, K, SEED + 1)] {
+        match union_of(envelope(m, k as u32, seed)) {
+            Err(
+                e @ ClusterError::Node {
+                    source: ClientError::Geometry { expected, got },
+                    ..
+                },
+            ) => {
+                assert_eq!(expected, (M, K, SEED));
+                assert_eq!(got, (m, k, seed));
+                assert!(e.is_incompatible());
+            }
+            other => panic!(
+                "want a Geometry error for {:?}, got {other:?}",
+                (m, k, seed)
+            ),
+        }
+    }
+    // The topology's own geometry goes through.
+    assert_eq!(
+        union_of(envelope(M, K as u32, SEED)).unwrap().counters,
+        vec![1; M]
+    );
 }
 
 #[test]

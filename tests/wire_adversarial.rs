@@ -21,12 +21,21 @@ use sbf_server::{Request, Response};
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Well-formed frames still decode to the exact counters.
+    /// Well-formed frames still decode to the exact counters, over the
+    /// whole value domain: each counter is a random word shifted right by
+    /// a random amount, so every codeword length from 1 bit to past 64
+    /// bits, at every offset in a word, turns up. The frame matches the
+    /// per-bit oracle bit for bit.
     #[test]
     fn counter_frames_roundtrip(
-        counters in prop::collection::vec(0u64..1 << 20, 0..256),
+        draws in prop::collection::vec((0u32..64, any::<u64>()), 0..256),
     ) {
+        let counters: Vec<u64> = draws
+            .iter()
+            .map(|&(shift, word)| (word >> shift).min(u64::MAX - 1))
+            .collect();
         let frame = encode_counters(counters.iter().copied());
+        prop_assert_eq!(&frame, &per_bit_counter_frame(&counters));
         prop_assert_eq!(decode_counters(&frame), Ok(counters.clone()));
         prop_assert_eq!(
             decode_counters_capped(&frame, counters.len()),
@@ -276,6 +285,122 @@ proptest! {
         let mut rescan = LogScanner::new(&bytes[..keep]);
         prop_assert_eq!(rescan.by_ref().count(), n);
         prop_assert_eq!(rescan.tail(), TailStatus::Clean);
+    }
+}
+
+/// The counter frame coded one bit at a time, straight from §4.5: `m`,
+/// the bit length, then per counter `n = c + 1` as γ(bitlen(n)) and the
+/// low `bitlen(n) − 1` bits of `n`, each MSB first, packed LSB-first into
+/// little-endian words. The oracle the word-at-a-time coder must match.
+fn per_bit_counter_frame(counters: &[u64]) -> Vec<u8> {
+    fn msb_first(bits: &mut Vec<bool>, v: u64, width: usize) {
+        for i in (0..width).rev() {
+            bits.push((v >> i) & 1 == 1);
+        }
+    }
+    let bit_len = |v: u64| 64 - v.leading_zeros() as usize;
+    let mut bits = Vec::new();
+    for &c in counters {
+        let n = c + 1;
+        let len = bit_len(n);
+        let len_len = bit_len(len as u64);
+        bits.extend(std::iter::repeat_n(false, len_len - 1));
+        msb_first(&mut bits, len as u64, len_len);
+        msb_first(&mut bits, n, len - 1);
+    }
+    let mut frame = (counters.len() as u64).to_le_bytes().to_vec();
+    frame.extend_from_slice(&(bits.len() as u64).to_le_bytes());
+    for word in bits.chunks(64) {
+        let word = word
+            .iter()
+            .enumerate()
+            .fold(0u64, |w, (i, &bit)| w | (u64::from(bit) << i));
+        frame.extend_from_slice(&word.to_le_bytes());
+    }
+    frame
+}
+
+/// Counters of the golden envelope: both ends of small lengths, a
+/// codeword crossing a word boundary, and codewords of 64 bits and more.
+const GOLDEN_COUNTERS: [u64; 11] = [
+    0,
+    1,
+    2,
+    3,
+    7,
+    8,
+    255,
+    256,
+    (1 << 32) + 5,
+    1 << 62,
+    u64::MAX - 1,
+];
+
+/// `GOLDEN_COUNTERS` as a Minimum Selection envelope with k = 5 and
+/// seed = 42, as the bit-at-a-time coder wrote it: files and replica
+/// bootstraps in this format must keep decoding, and new ones must be
+/// byte-identical.
+const GOLDEN_ENVELOPE: &str = "fecaf05b0101050000002a000000000000000b00000000000000\
+                               fc00000000000000450d0121120009084200000030f003000000\
+                               0000008040e0ffffffffffffff0f";
+
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+        .collect()
+}
+
+#[test]
+fn golden_envelope_bytes_are_pinned() {
+    let golden = unhex(GOLDEN_ENVELOPE);
+    let env = FilterEnvelope {
+        kind: FilterKind::MinimumSelection,
+        k: 5,
+        seed: 42,
+        counters: GOLDEN_COUNTERS.to_vec(),
+    };
+    assert_eq!(env.encode(), golden, "the encoder changed the wire bytes");
+    assert_eq!(&golden[18..], &per_bit_counter_frame(&GOLDEN_COUNTERS)[..]);
+    assert_eq!(FilterEnvelope::decode(&golden), Ok(env));
+}
+
+/// A frame is exactly its codewords: anything past the last one is
+/// refused, though the encoder never emits it.
+#[test]
+fn frames_with_anything_after_the_last_codeword_are_refused() {
+    let counters = [3u64, 0, 5];
+    let frame = encode_counters(counters.iter().copied());
+    let bit_len = u64::from_le_bytes(frame[8..16].try_into().unwrap());
+    assert_eq!(
+        bit_len,
+        5 + 1 + 5,
+        "the cases below lean on a part-filled word"
+    );
+    assert_eq!(decode_counters(&frame), Ok(counters.to_vec()));
+
+    // Leftover bits inside `bit_len`: a stray codeword past the m-th...
+    let mut stray = encode_counters([3u64, 0, 5, 0].into_iter());
+    stray[0..8].copy_from_slice(&3u64.to_le_bytes());
+    assert_eq!(decode_counters(&stray), Err(WireError::BadCodeword));
+    // ...or zero bits that form no codeword.
+    let mut leftover = frame.clone();
+    leftover[8..16].copy_from_slice(&(bit_len + 3).to_le_bytes());
+    assert_eq!(decode_counters(&leftover), Err(WireError::BadCodeword));
+
+    // A set bit in the last word's padding, past `bit_len`.
+    let mut dirty = frame.clone();
+    dirty[16 + 7] |= 0x80;
+    assert_eq!(decode_counters(&dirty), Err(WireError::BadCodeword));
+
+    // Bytes after the last word: one stray byte, or a whole zero word.
+    for extra in [1usize, 8] {
+        let mut long = frame.clone();
+        long.resize(frame.len() + extra, 0);
+        assert_eq!(decode_counters(&long), Err(WireError::BadCodeword));
+        let mut env = unhex(GOLDEN_ENVELOPE);
+        env.resize(env.len() + extra, 0);
+        assert_eq!(FilterEnvelope::decode(&env), Err(WireError::BadCodeword));
     }
 }
 
