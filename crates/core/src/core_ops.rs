@@ -356,8 +356,9 @@ impl<F: HashFamily, S: CounterStore> SbfCore<F, S> {
         &mut self.store
     }
 
-    /// Total multiplicity currently represented (Σ inserts − Σ removes);
-    /// the `N` of the unbiased estimator (Lemma 3).
+    /// Total multiplicity currently represented (Σ inserts − Σ removes,
+    /// saturating at `u64::MAX` like the counters); the `N` of the unbiased
+    /// estimator (Lemma 3).
     pub fn total_count(&self) -> u64 {
         self.total_count
     }
@@ -480,7 +481,7 @@ impl<F: HashFamily, S: CounterStore> SbfCore<F, S> {
         for &i in idx.as_slice() {
             self.store.increment(i, by);
         }
-        self.total_count += by;
+        self.total_count = self.total_count.saturating_add(by);
     }
 
     /// Decrements every distinct counter of `key` by `by`; fails atomically
@@ -686,7 +687,7 @@ impl<F: HashFamily, S: CounterStore> SbfCore<F, S> {
     /// Bumps the internal multiplicity account (for algorithms that bypass
     /// [`Self::increment_all`]).
     pub fn add_to_total(&mut self, by: u64) {
-        self.total_count += by;
+        self.total_count = self.total_count.saturating_add(by);
     }
 
     /// Lowers the internal multiplicity account.
@@ -719,7 +720,7 @@ impl<F: HashFamily, S: CounterStore> SbfCore<F, S> {
                 self.store.increment(i, o);
             }
         }
-        self.total_count += other.total_count;
+        self.total_count = self.total_count.saturating_add(other.total_count);
     }
 
     /// Counter-wise multiplication: the join synopsis of §2.2 (*"the

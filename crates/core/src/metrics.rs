@@ -31,12 +31,11 @@
 //! | `sbf_page_faults_total` | counter | buffer misses in [`crate::PagedCounters`] |
 //! | `sbf_page_accesses_total` | counter | page touches in [`crate::PagedCounters`] |
 //! | `sbf_sharded_ops_total` | counter | mutations routed through [`crate::ShardedSketch`] |
-//! | `sbf_sharded_snapshot_rebuilds_total` | counter | full §5 shard unions performed |
-//! | `sbf_sharded_snapshot_cache_hits_total` | counter | snapshots served from the cached union |
+//! | `sbf_sharded_snapshot_rebuilds_total` | counter | §5 shard unions built by [`crate::ShardedSketch::snapshot`] |
 //!
 //! [`crate::ShardedSketch::publish_metrics`] additionally writes per-shard
-//! gauges `sbf_shard_occupancy_ratio{shard="i"}`,
-//! `sbf_shard_total_count{shard="i"}` and `sbf_shard_ops{shard="i"}`.
+//! gauges `sbf_shard_occupancy_ratio{shard="i"}` and
+//! `sbf_shard_total_count{shard="i"}`.
 
 use crate::sync::{Arc, OnceLock};
 
@@ -69,8 +68,6 @@ pub struct CoreMetrics {
     pub sharded_ops: Arc<Counter>,
     /// `sbf_sharded_snapshot_rebuilds_total`.
     pub snapshot_rebuilds: Arc<Counter>,
-    /// `sbf_sharded_snapshot_cache_hits_total`.
-    pub snapshot_cache_hits: Arc<Counter>,
 }
 
 static CORE: OnceLock<CoreMetrics> = OnceLock::new();
@@ -94,7 +91,6 @@ pub fn core_metrics() -> &'static CoreMetrics {
             page_accesses: reg.counter("sbf_page_accesses_total"),
             sharded_ops: reg.counter("sbf_sharded_ops_total"),
             snapshot_rebuilds: reg.counter("sbf_sharded_snapshot_rebuilds_total"),
-            snapshot_cache_hits: reg.counter("sbf_sharded_snapshot_cache_hits_total"),
         }
     })
 }

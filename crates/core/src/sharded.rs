@@ -16,9 +16,8 @@
 //! adds the shard counter vectors. Queries don't need the union — they
 //! route to the owning shard, touching one lock in read mode.
 
-use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::lock_unpoisoned;
-use crate::sync::{Arc, Mutex, RwLock};
+use crate::sync::{Mutex, RwLock};
 
 use sbf_hash::{fmix64, HashFamily, Key};
 
@@ -143,23 +142,10 @@ impl<F: HashFamily + PartialEq, S: CounterStore> ShardMerge for RmSbf<F, S> {
 pub struct ShardedSketch<SK> {
     shards: Vec<RwLock<SK>>,
     route_seed: u64,
-    /// Per-shard mutation counters, bumped inside the shard's write lock
-    /// *after* the data write. [`ShardedSketch::snapshot_cached`] reads all
-    /// versions before read-locking any shard, so a stale stamp can only
-    /// cause a spurious rebuild, never a stale cache hit.
-    versions: Vec<AtomicU64>,
-    snapshot_cache: Mutex<Option<SnapshotCache<SK>>>,
     /// Reused partition buffers for the batch paths. `try_lock`ed: if
     /// another thread is mid-batch, the loser falls back to a transient
     /// local scratch rather than serialising batches on this mutex.
     scratch: Mutex<PartitionScratch>,
-}
-
-/// A cached §5 union plus the per-shard versions it was built from.
-#[derive(Debug)]
-struct SnapshotCache<SK> {
-    versions: Vec<u64>,
-    merged: Arc<SK>,
 }
 
 impl<SK> ShardedSketch<SK> {
@@ -180,14 +166,11 @@ impl<SK> ShardedSketch<SK> {
             !shards.is_empty(),
             "sharded sketch needs at least one shard"
         );
-        let versions = (0..shards.len()).map(|_| AtomicU64::new(0)).collect();
         ShardedSketch {
             shards: shards.into_iter().map(RwLock::new).collect(),
             // Fixed and family-independent: routing must not correlate with
             // the counter indices the sketches derive from their own seeds.
             route_seed: 0x5ba2_d911_c3b1_70a4,
-            versions,
-            snapshot_cache: Mutex::new(None),
             scratch: Mutex::new(PartitionScratch::default()),
         }
     }
@@ -254,10 +237,7 @@ impl<SK: MultisetSketch> ShardedSketch<SK> {
     pub fn insert_by<K: Key + ?Sized>(&self, key: &K, count: u64) {
         metrics::on(|m| m.sharded_ops.inc());
         let shard = self.shard_of(key);
-        let mut guard = lock_unpoisoned(self.shards[shard].write());
-        guard.insert_by(key, count);
-        self.versions[shard].fetch_add(1, Ordering::Release);
-        drop(guard);
+        lock_unpoisoned(self.shards[shard].write()).insert_by(key, count);
     }
 
     /// Adds one occurrence of `key`.
@@ -277,24 +257,11 @@ impl<SK: MultisetSketch> ShardedSketch<SK> {
     pub fn insert_batch<K: Key>(&self, keys: &[K]) {
         metrics::on(|m| m.sharded_ops.add(num::to_u64(keys.len())));
         if self.shards.len() == 1 {
-            let mut shard = lock_unpoisoned(self.shards[0].write());
-            shard.insert_batch(keys);
-            // The stamp must be bumped while the write lock is still held:
-            // bumping after the unlock lets a snapshotter read the new data
-            // under the lock yet pair it with the old stamp, caching a
-            // stale-as-fresh snapshot (caught by
-            // `stamp_protocol_never_serves_stale_snapshot_as_fresh` in
-            // tests/modelcheck_suite.rs).
-            self.versions[0].fetch_add(1, Ordering::Release);
-            drop(shard);
+            lock_unpoisoned(self.shards[0].write()).insert_batch(keys);
             return;
         }
         self.with_partitioned(keys, |s, picks| {
-            let mut shard = lock_unpoisoned(self.shards[s].write());
-            shard.insert_batch_picked(keys, picks);
-            // Bump inside the lock — see the single-shard path above.
-            self.versions[s].fetch_add(1, Ordering::Release);
-            drop(shard);
+            lock_unpoisoned(self.shards[s].write()).insert_batch_picked(keys, picks);
         });
     }
 
@@ -382,15 +349,7 @@ impl<SK: MultisetSketch> ShardedSketch<SK> {
     pub fn remove_by<K: Key + ?Sized>(&self, key: &K, count: u64) -> Result<(), RemoveError> {
         metrics::on(|m| m.sharded_ops.inc());
         let shard = self.shard_of(key);
-        let mut guard = lock_unpoisoned(self.shards[shard].write());
-        let result = guard.remove_by(key, count);
-        if result.is_ok() {
-            // Bump inside the lock, for the same snapshot-staleness reason
-            // as `insert_batch`.
-            self.versions[shard].fetch_add(1, Ordering::Release);
-        }
-        drop(guard);
-        result
+        lock_unpoisoned(self.shards[shard].write()).remove_by(key, count)
     }
 
     /// Removes one occurrence of `key`.
@@ -444,57 +403,15 @@ impl<SK: MultisetSketch> ShardedSketch<SK> {
     /// bridge back to the single-threaded world (serialization, further
     /// union/multiply, compressed re-encoding).
     ///
-    /// This rebuilds the union from scratch on **every call** — `O(m ×
-    /// num_shards)` clone-and-add work even when nothing changed since the
-    /// last call. Callers that snapshot repeatedly between sparse writes
-    /// (monitoring loops, repeated merges) should use
-    /// [`ShardedSketch::snapshot_cached`], which reuses the previous union
-    /// until some shard mutates.
+    /// The union is built afresh on every call: `O(m × num_shards)`
+    /// clone-and-add work, counted by `sbf_sharded_snapshot_rebuilds_total`.
+    /// Shards are read-locked one at a time, so under concurrent writes the
+    /// union is a sum of per-shard pasts, like [`ShardedSketch::total_count`].
     pub fn snapshot(&self) -> SK
     where
         SK: ShardMerge + Clone,
     {
         metrics::on(|m| m.snapshot_rebuilds.inc());
-        self.union_shards()
-    }
-
-    /// Like [`ShardedSketch::snapshot`], but cached: the union is rebuilt
-    /// only when a shard has mutated since the previous call, otherwise the
-    /// cached `Arc` is cloned in O(1).
-    ///
-    /// Version stamps are bumped after each shard write completes and read
-    /// here *before* the shard data, so a racing writer can at worst leave
-    /// a fresh union stamped stale (one spurious rebuild later) — a cache
-    /// hit never serves data older than its stamp.
-    pub fn snapshot_cached(&self) -> Arc<SK>
-    where
-        SK: ShardMerge + Clone,
-    {
-        let stamps: Vec<u64> = self
-            .versions
-            .iter()
-            .map(|v| v.load(Ordering::Acquire))
-            .collect();
-        let mut cache = lock_unpoisoned(self.snapshot_cache.lock());
-        if let Some(c) = cache.as_ref() {
-            if c.versions == stamps {
-                metrics::on(|m| m.snapshot_cache_hits.inc());
-                return Arc::clone(&c.merged);
-            }
-        }
-        metrics::on(|m| m.snapshot_rebuilds.inc());
-        let merged = Arc::new(self.union_shards());
-        *cache = Some(SnapshotCache {
-            versions: stamps,
-            merged: Arc::clone(&merged),
-        });
-        merged
-    }
-
-    fn union_shards(&self) -> SK
-    where
-        SK: ShardMerge + Clone,
-    {
         let mut merged = lock_unpoisoned(self.shards[0].read()).clone();
         for shard in &self.shards[1..] {
             let guard = lock_unpoisoned(shard.read());
@@ -504,10 +421,9 @@ impl<SK: MultisetSketch> ShardedSketch<SK> {
     }
 
     /// Publishes per-shard load gauges into the global telemetry registry:
-    /// `sbf_shard_occupancy_ratio{shard="i"}`,
-    /// `sbf_shard_total_count{shard="i"}` and `sbf_shard_ops{shard="i"}`
-    /// (the shard's version stamp, i.e. mutation batches applied). No-op
-    /// while telemetry is disabled.
+    /// `sbf_shard_occupancy_ratio{shard="i"}` and
+    /// `sbf_shard_total_count{shard="i"}`. No-op while telemetry is
+    /// disabled.
     pub fn publish_metrics(&self)
     where
         SK: SketchReader,
@@ -517,11 +433,6 @@ impl<SK: MultisetSketch> ShardedSketch<SK> {
         }
         let reg = sbf_telemetry::global();
         for (i, shard) in self.shards.iter().enumerate() {
-            // Read the stamp *before* the data, with Acquire: the pair then
-            // reports ops no newer than the occupancy/total it is published
-            // with. The old order (data first, stamp after, Relaxed) could
-            // attribute ops to a snapshot that does not contain them yet.
-            let ops = self.versions[i].load(Ordering::Acquire);
             let (occ, total) = {
                 let guard = lock_unpoisoned(shard.read());
                 (guard.occupancy(), guard.total_count())
@@ -530,8 +441,6 @@ impl<SK: MultisetSketch> ShardedSketch<SK> {
                 .set(occ);
             reg.gauge(&format!("sbf_shard_total_count{{shard=\"{i}\"}}"))
                 .set_u64(total);
-            reg.gauge(&format!("sbf_shard_ops{{shard=\"{i}\"}}"))
-                .set_u64(ops);
         }
     }
 }
@@ -657,49 +566,6 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
         let _ = ShardedSketch::<MsSbf>::from_shards(Vec::new());
-    }
-
-    #[test]
-    fn snapshot_cached_reuses_union_until_a_shard_mutates() {
-        let sketch = ShardedSketch::with_shards(4, |_| MsSbf::new(1024, 4, 6));
-        for key in 0u64..200 {
-            sketch.insert(&key);
-        }
-        let first = sketch.snapshot_cached();
-        let second = sketch.snapshot_cached();
-        assert!(
-            Arc::ptr_eq(&first, &second),
-            "unchanged shards must hit the cache"
-        );
-        sketch.insert(&9999u64);
-        let third = sketch.snapshot_cached();
-        assert!(
-            !Arc::ptr_eq(&second, &third),
-            "a mutation must invalidate the cache"
-        );
-        // The cached union answers exactly like a fresh one.
-        let fresh = sketch.snapshot();
-        for key in 0u64..200 {
-            assert_eq!(third.estimate(&key), fresh.estimate(&key), "key {key}");
-        }
-        assert_eq!(third.total_count(), 201);
-    }
-
-    #[test]
-    fn snapshot_cached_sees_batch_and_remove_mutations() {
-        let sketch = ShardedSketch::with_shards(2, |_| MsSbf::new(512, 4, 3));
-        let keys: Vec<u64> = (0..50).collect();
-        sketch.insert_batch(&keys);
-        let a = sketch.snapshot_cached();
-        assert_eq!(a.total_count(), 50);
-        sketch.remove(&0u64).unwrap();
-        let b = sketch.snapshot_cached();
-        assert!(!Arc::ptr_eq(&a, &b), "remove must invalidate the cache");
-        assert_eq!(b.total_count(), 49);
-        // A refused remove leaves the cache valid.
-        assert!(sketch.remove_by(&0u64, 1_000_000).is_err());
-        let c = sketch.snapshot_cached();
-        assert!(Arc::ptr_eq(&b, &c), "failed remove must not invalidate");
     }
 
     #[test]

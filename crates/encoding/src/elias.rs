@@ -96,7 +96,8 @@ impl Codec for EliasGamma {
 /// δ writes γ(bitlen(n)) followed by the `bitlen(n) − 1` low bits of `n`;
 /// total length `⌊log₂n⌋ + 2⌊log₂(⌊log₂n⌋+1)⌋ + 1` — the `L₂(n)` of §4.5.
 /// Asymptotically optimal for any power-law and the workhorse of the
-/// compact counter representation.
+/// compact counter representation. Every `u64` codes, `u64::MAX`
+/// (n = 2^64) included: γ(65), then 64 zero bits, 77 bits in all.
 ///
 /// ```
 /// use sbf_encoding::{Codec, EliasDelta};
@@ -115,19 +116,19 @@ impl EliasDelta {
     /// encoder behind [`Codec::encode`] and the wire envelope. At most two
     /// field writes: one when the codeword fits a word, which it does for
     /// every value below `2^54 − 1`.
-    ///
-    /// # Panics
-    ///
-    /// If `value` exceeds [`Codec::max_value`].
     #[inline]
     pub fn encode_to<S: BitSink>(&self, value: u64, w: &mut S) {
-        assert!(value <= self.max_value(), "value out of EliasDelta domain");
-        let n = value + 1;
-        let len = bit_len(n);
+        let (len, rest) = match value.checked_add(1) {
+            Some(n) => {
+                let len = bit_len(n);
+                // n without its leading 1 bit.
+                (len, n ^ (1 << (len - 1)))
+            }
+            // n = 2^64: below its leading 1 sit 64 zeros.
+            None => (65, 0),
+        };
         let header = 2 * bit_len(len as u64) - 1;
-        // n without its leading 1 bit.
         let rest_width = len - 1;
-        let rest = n ^ (1 << rest_width);
         let width = header + rest_width;
         if width <= 64 {
             let code = ((len as u64) << rest_width) | rest;
@@ -143,8 +144,10 @@ impl EliasDelta {
     /// peeked word covers the whole codeword for every value below
     /// `2^54 − 1`; longer ones take one more field read.
     ///
-    /// Returns `None` on a truncated stream or a length field of 0 or
-    /// above 64 (the reader position is then unspecified).
+    /// Returns `None` on a truncated stream, a length field of 0 or above
+    /// 65, or a length of 65 whose 64 low bits are not all zero: n = 2^64
+    /// (`u64::MAX`) is the one 65-bit n (the reader position is then
+    /// unspecified).
     #[inline]
     pub fn decode_from<R: BitSource>(&self, r: &mut R) -> Option<u64> {
         let (word, avail) = peek_msb_first(r);
@@ -163,7 +166,11 @@ impl EliasDelta {
                 let rest_width = (word >> (64 - header)) as usize - 1;
                 r.consume(header);
                 let rest = msb_first(r.read(rest_width)?, rest_width);
-                Some(((1u64 << rest_width) | rest) - 1)
+                match rest_width {
+                    64 if rest == 0 => Some(u64::MAX),
+                    64 => None,
+                    _ => Some(((1u64 << rest_width) | rest) - 1),
+                }
             }
         }
     }
@@ -207,7 +214,7 @@ enum Fit {
     Whole(u64, usize),
     /// Runs past the valid bits, or they end before its length is known.
     Spills,
-    /// Its length field is above 64: no stream continues it validly.
+    /// Its length field is above 65: no stream continues it validly.
     Bad,
 }
 
@@ -218,7 +225,7 @@ enum Fit {
 #[inline]
 fn delta_in_word(word: u64, avail: usize) -> Fit {
     let zeros = (word.leading_zeros() as usize).min(avail);
-    // A length of at most 64 has at most 7 bits, so at most 6 zeros.
+    // A length of at most 65 has at most 7 bits, so at most 6 zeros.
     if zeros > 6 {
         return Fit::Bad;
     }
@@ -228,8 +235,9 @@ fn delta_in_word(word: u64, avail: usize) -> Fit {
     }
     let len = (word >> (64 - header)) as usize;
     // The γ run ends in its leading 1, so a length of 0 cannot occur;
-    // the guard keeps `len − 1` safe without leaning on that.
-    if len == 0 || len > 64 {
+    // the guard keeps `len − 1` safe without leaning on that. A length of
+    // 65 is 77 bits long, so it always spills.
+    if len == 0 || len > 65 {
         return Fit::Bad;
     }
     let rest_width = len - 1;
@@ -258,12 +266,12 @@ impl Codec for EliasDelta {
     }
 
     fn encoded_len(&self, value: u64) -> usize {
-        let len = bit_len(value + 1);
+        let len = value.checked_add(1).map_or(65, bit_len);
         (len - 1) + (2 * bit_len(len as u64) - 1)
     }
 
     fn max_value(&self) -> u64 {
-        u64::MAX - 1
+        u64::MAX
     }
 }
 
@@ -331,6 +339,7 @@ mod tests {
                 1 << 32,
                 (1 << 62),
                 u64::MAX - 1,
+                u64::MAX,
             ])
             .collect();
         roundtrip(&EliasDelta, &vals);
@@ -347,7 +356,8 @@ mod tests {
     fn every_length_roundtrips_at_every_word_offset() {
         // Both ends of every value length (1..=64 bits of v + 1), placed at
         // each bit offset of a word, so one- and two-write codewords and
-        // codewords straddling a word boundary are all covered.
+        // codewords straddling a word boundary are all covered. δ also
+        // takes length 65: `u64::MAX`.
         let vals: Vec<u64> = (1..=64u32)
             .flat_map(|len| {
                 let lo = (1u64 << (len - 1)) - 1;
@@ -366,6 +376,7 @@ mod tests {
                 EliasDelta.encode(v, &mut w);
                 EliasGamma.encode(v, &mut w);
             }
+            EliasDelta.encode(u64::MAX, &mut w);
             let bits = w.finish();
             let mut r = BitReader::new(&bits);
             assert_eq!(r.read(offset), Some(0));
@@ -381,24 +392,42 @@ mod tests {
                     "γ v={v} offset={offset}"
                 );
             }
+            assert_eq!(EliasDelta.decode(&mut r), Some(u64::MAX), "offset={offset}");
             assert_eq!(r.remaining(), 0);
         }
     }
 
     #[test]
-    fn delta_rejects_lengths_above_64() {
-        // γ(65) as a length field: 6 zeros then 1000001.
-        let mut w = BitWriter::new();
-        w.write_run(false, 6);
-        for bit in [1, 0, 0, 0, 0, 0, 1] {
-            w.write_bit(bit == 1);
+    fn delta_takes_length_65_only_as_u64_max() {
+        // A length field (6 zeros then `len` in 7 bits) and a 64-bit rest.
+        let codeword = |len: u64, rest: u64| {
+            let mut w = BitWriter::new();
+            w.write_run(false, 6);
+            for i in (0..7).rev() {
+                w.write_bit((len >> i) & 1 == 1);
+            }
+            w.write(rest, 64);
+            w.finish()
+        };
+        let decode = |bits: &BitVec| EliasDelta.decode(&mut BitReader::new(bits));
+        // n = 2^64: γ(65), then 64 zero bits — exactly what the encoder writes.
+        let max = codeword(65, 0);
+        assert_eq!(decode(&max), Some(u64::MAX));
+        assert_eq!(max, EliasDelta.encode_all(&[u64::MAX]));
+        assert_eq!(EliasDelta.encoded_len(u64::MAX), max.len());
+        // Any other 65-bit n overflows u64.
+        for rest in [1, 1 << 31, 1 << 63, u64::MAX] {
+            assert_eq!(decode(&codeword(65, rest)), None, "rest={rest:#x}");
         }
-        w.write(0, 64);
-        let bits = w.finish();
-        assert_eq!(EliasDelta.decode(&mut BitReader::new(&bits)), None);
+        // Lengths above 65 never code a u64.
+        assert_eq!(decode(&codeword(66, 0)), None);
+        assert_eq!(decode(&codeword(127, 0)), None);
         // A run of 7 zeros can only start a length of 128 or more.
         let bits = BitVec::from_bools(&[false; 70]);
-        assert_eq!(EliasDelta.decode(&mut BitReader::new(&bits)), None);
+        assert_eq!(decode(&bits), None);
+        // γ(65) with its zero bits cut short is truncated.
+        let mut r = BitReader::with_range(&max, 0, max.len() - 1);
+        assert_eq!(EliasDelta.decode(&mut r), None);
     }
 
     #[test]
@@ -418,7 +447,9 @@ mod tests {
         }
 
         #[test]
-        fn delta_roundtrip_prop(vals in prop::collection::vec(0u64..u64::MAX - 1, 0..50)) {
+        fn delta_roundtrip_prop(
+            vals in prop::collection::vec(prop_oneof![8 => any::<u64>(), 1 => Just(u64::MAX)], 0..50),
+        ) {
             roundtrip(&EliasDelta, &vals);
         }
 

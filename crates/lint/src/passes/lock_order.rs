@@ -17,10 +17,15 @@
 //! Callees are expanded one level deep, same-crate only: a call to a
 //! function known (from a first phase) to acquire locks adds
 //! `held → callee's classes` edges, and the callee's classes are held
-//! *virtually* for the extent of the call's argument list — this is what
-//! catches `wal.checkpoint(|| state.snapshot_envelope())`, where the
-//! checkpoint mutex is held around the snapshot-cut closure (the
-//! documented WAL-append → snapshot-cut witness edge).
+//! *virtually* for the extent of the call's argument list, so a lock
+//! held across a closure handed to a locking callee counts too. Deeper
+//! chains are out of reach: `wal.checkpoint(|| state.snapshot_envelope())`
+//! holds the WAL's append mutex around a snapshot cut that takes the
+//! `remote` lock one call further down (in `merged_filter`), so that
+//! WAL-append → snapshot-cut edge is not in the graph. Expanding calls
+//! transitively by name is no cure: every `thread::spawn(` would then
+//! resolve to the server's own `spawn`, and the graph fills with false
+//! cycles.
 
 use crate::diag::Diagnostic;
 use crate::lexer::{Token, TokenKind};

@@ -2,11 +2,10 @@
 //! (with a usable replay schedule), known-correct ones must pass an
 //! exhaustive exploration.
 //!
-//! The bugs seeded here are miniatures of the real protocols the
-//! workspace model tests guard (CAS counters, the sharded snapshot
-//! version-stamp hand-off), so a regression in the checker's visibility
-//! or scheduling logic fails loudly before it silently weakens those
-//! tests.
+//! The bugs seeded here are miniatures of the protocol shapes the
+//! workspace model tests guard (CAS counters, release/acquire
+//! publication), so a regression in the checker's visibility or
+//! scheduling logic fails loudly before it silently weakens those tests.
 
 use std::sync::Arc;
 
@@ -126,12 +125,11 @@ fn spsc_release_acquire_passes_exhaustively() {
     assert!(report.complete);
 }
 
-/// Miniature of the sharded snapshot version-stamp protocol: a writer
-/// mutates shard state then bumps the stamp; a reader that observes the
-/// bumped stamp must see the new state. With the bump seeded back to
-/// `Relaxed` (the exact bug class satellite (d) fixes in
-/// `ShardedSketch::publish_metrics`), the checker catches the stale
-/// snapshot and prints the interleaving.
+/// Miniature of a version-stamp publication protocol: a writer mutates
+/// state then bumps a stamp; a reader that observes the bumped stamp must
+/// see the new state. It models no production code: it is the checker's
+/// own test that a seeded `Relaxed` publication bug is caught, with a
+/// replayable interleaving, and that the `Release` form passes.
 #[test]
 fn seeded_relaxed_stamp_bug_is_caught_and_release_fix_passes() {
     fn stamp_protocol(bump_order: Ordering) -> impl Fn() + Send + Sync + 'static {
@@ -166,7 +164,7 @@ fn seeded_relaxed_stamp_bug_is_caught_and_release_fix_passes() {
         .expect_err("replay must reproduce the stale snapshot");
     assert!(err.message.contains("stale snapshot served as fresh"));
 
-    // The production ordering (Release bump) is exhaustively correct.
+    // The Release bump is exhaustively correct.
     let report = Checker::new()
         .max_preemptions(2)
         .check(stamp_protocol(Ordering::Release));

@@ -67,7 +67,7 @@ impl From<io::Error> for RecoveryError {
 pub struct RecoveryReport {
     /// Whether a snapshot was restored into the remote filter.
     pub snapshot_loaded: bool,
-    /// Total counter mass the snapshot carried.
+    /// Total counter mass the snapshot carried, saturating at `u64::MAX`.
     pub snapshot_mass: u64,
     /// Number of generation logs scanned.
     pub logs_scanned: usize,
@@ -135,7 +135,7 @@ pub fn recover(dir: &Path, state: &SharedState) -> Result<RecoveryReport, Recove
                     env.seed,
                 )));
             }
-            report.snapshot_mass = env.counters.iter().sum();
+            report.snapshot_mass = mass(&env.counters);
             state.absorb_envelope(env);
             report.snapshot_loaded = true;
         }
@@ -199,8 +199,14 @@ pub struct SnapshotInfo {
     pub k: u32,
     /// Hash seed.
     pub seed: u64,
-    /// Total counter mass.
+    /// Total counter mass, saturating at `u64::MAX`.
     pub mass: u64,
+}
+
+/// The sum of `counters`, saturating: one saturated counter is already
+/// `u64::MAX`.
+fn mass(counters: &[u64]) -> u64 {
+    counters.iter().fold(0, |sum, &c| sum.saturating_add(c))
 }
 
 /// Everything `sbf wal inspect` prints.
@@ -226,7 +232,7 @@ pub fn inspect(dir: &Path, max_record: usize) -> io::Result<WalInspection> {
                     m: env.counters.len(),
                     k: env.k,
                     seed: env.seed,
-                    mass: env.counters.iter().sum(),
+                    mass: mass(&env.counters),
                 })
                 .map_err(|e| e.to_string());
             out.snapshot = Some(info);

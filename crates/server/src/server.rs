@@ -24,6 +24,11 @@
 //! its side, so the sum upper-bounds the true total frequency.
 //! SNAPSHOT returns the counter-wise sum of both (the §5 union), which is
 //! exactly what a client would get by merging the two envelopes itself.
+//! That union is built afresh for each use: the shard union
+//! ([`ShardedSketch::snapshot`]) plus the remote filter, added in place.
+//! SNAPSHOT, JOIN_FILTER, every checkpoint and the replica bootstrap code
+//! their envelope from it, and JOIN_PLAN multiplies it by the peer's
+//! filter; nothing is cached between uses.
 //!
 //! Presence, not mass, decides whether the remote filter is read: a
 //! merged or restored filter has its counters set directly, so its
@@ -597,11 +602,11 @@ impl SharedState {
         out
     }
 
-    /// The §5 union of both filters — live shards plus the remote mass —
-    /// as one whole-range sketch (the state SNAPSHOT and JOIN_PLAN both
-    /// answer from; SNAPSHOT skips the copy when there is no remote mass).
+    /// The §5 union of both filters — the shard union plus the remote
+    /// mass, added in place — as one whole-range sketch (see the module
+    /// docs for who uses it).
     fn merged_filter(&self) -> MsSbf {
-        let mut merged = (*self.sketch.snapshot_cached()).clone();
+        let mut merged = self.sketch.snapshot();
         if let Some(remote) = lock_unpoisoned(self.remote.read()).as_ref() {
             merged.union_assign(remote);
         }
@@ -612,21 +617,13 @@ impl SharedState {
     /// wire-encoded envelope, byte-compatible with `sbf-db` files and
     /// `sbf` CLI subcommands.
     pub fn snapshot_envelope(&self) -> Vec<u8> {
-        let encode = |filter: &MsSbf| {
-            let counters = filter.core().store().as_slice().iter().copied();
-            encode_envelope(
-                FilterKind::MinimumSelection,
-                self.k as u32,
-                self.seed,
-                counters,
-            )
-        };
-        if lock_unpoisoned(self.remote.read()).is_none() {
-            // No remote mass: the cached union of the shards is the whole
-            // filter, coded in place.
-            return encode(&self.sketch.snapshot_cached());
-        }
-        encode(&self.merged_filter())
+        let merged = self.merged_filter();
+        encode_envelope(
+            FilterKind::MinimumSelection,
+            self.k as u32,
+            self.seed,
+            merged.core().store().as_slice().iter().copied(),
+        )
     }
 
     /// Applies one decoded request and produces its response. Protocol
@@ -1227,19 +1224,40 @@ mod tests {
 
     #[test]
     fn snapshot_decodes_to_live_plus_remote() {
-        let st = state(1 << 12);
-        st.handle(&Request::Insert {
-            count: 3,
-            key: b"x".to_vec(),
-        });
+        let m = 1 << 12;
+        let st = state(m);
+        // Remote mass first, so SNAPSHOT has both terms of the union to add.
+        let merged: Vec<u64> = (0..m as u64).map(|i| i % 7 + (i % 3) * 1000).collect();
+        let env = FilterEnvelope {
+            kind: FilterKind::MinimumSelection,
+            k: st.k as u32,
+            seed: st.seed,
+            counters: merged.clone(),
+        };
+        assert_eq!(
+            st.handle(&Request::Merge {
+                envelope: env.encode()
+            }),
+            Response::Ok
+        );
+        for i in 0..100u64 {
+            st.handle(&Request::Insert {
+                count: i % 4 + 1,
+                key: format!("x{i}").into_bytes(),
+            });
+        }
         let bytes = match st.handle(&Request::Snapshot) {
             Response::Frame(b) => b,
             other => panic!("unexpected response {other:?}"),
         };
         let env = FilterEnvelope::decode(&bytes).expect("snapshot must decode");
-        assert_eq!(env.counters.len(), 1 << 12);
-        let total: u64 = env.counters.iter().sum();
-        assert_eq!(total, 3 * st.k as u64);
+        assert_eq!(env.counters.len(), m);
+        let shard_union = st.sketch.snapshot();
+        let live = shard_union.core().store();
+        assert!(live.as_slice().iter().any(|&c| c > 0));
+        for (i, (&got, &remote)) in env.counters.iter().zip(&merged).enumerate() {
+            assert_eq!(got, live.get(i) + remote, "counter {i}");
+        }
     }
 
     #[test]

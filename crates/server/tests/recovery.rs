@@ -14,7 +14,9 @@
 //!   acknowledging durable inserts from the log it could not retire,
 //! * a timeout that could never be armed (`Some(0)`) is refused at
 //!   build/bind time with a typed config error instead of any connection
-//!   being served untimed.
+//!   being served untimed,
+//! * a counter saturated at `u64::MAX` passes through every path that
+//!   codes the filter envelope and still reads `u64::MAX` afterwards.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -23,6 +25,7 @@ use std::time::{Duration, Instant};
 
 use sbf_db::wire::FilterEnvelope;
 use sbf_server::{SbfClient, SbfServer, ServerConfig};
+use spectral_bloom::{DefaultFamily, MsSbf, PlainCounters, SketchReader};
 
 const M: usize = 1 << 14;
 const K: usize = 5;
@@ -385,4 +388,76 @@ fn zero_timeouts_are_typed_config_errors_not_untimed_service() {
     let err = SbfServer::bind(cfg).expect_err("zero write timeout must refuse to bind");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     assert!(err.to_string().contains("write_timeout"));
+}
+
+/// One INSERT of `count = u64::MAX` saturates its key's counters. The node
+/// must still code its filter envelope on every path: SNAPSHOT,
+/// JOIN_FILTER, a checkpoint, the restore and replay after a crash, and a
+/// replica bootstrap. The key reads `u64::MAX` after each.
+#[test]
+fn saturated_counter_survives_every_envelope_path() {
+    const KEY: &[u8] = b"saturated";
+    /// The key's estimate in a decoded envelope.
+    fn envelope_estimate(bytes: &[u8]) -> u64 {
+        let env = FilterEnvelope::decode(bytes).expect("envelope decodes");
+        let family = DefaultFamily::new(env.counters.len(), env.k as usize, env.seed);
+        MsSbf::with_parts(family, PlainCounters::from(env.counters)).estimate(KEY)
+    }
+    let dir = scratch("saturated");
+    let mut cfg = wal_config(&dir);
+
+    let handle = SbfServer::bind(cfg.clone()).unwrap().spawn().unwrap();
+    let mut client = connect(handle.addr());
+    client.insert(KEY, u64::MAX).unwrap();
+    // A second key in the same node: the shard totals it adds to must
+    // saturate too.
+    client.insert(b"other", 2).unwrap();
+    assert_eq!(envelope_estimate(&client.snapshot().unwrap()), u64::MAX);
+    assert_eq!(
+        envelope_estimate(&client.join_filter(M, K, SEED).unwrap()),
+        u64::MAX
+    );
+    let state = handle.state();
+    let wal = state.wal().expect("wal attached").clone();
+    wal.checkpoint(|| state.snapshot_envelope()).unwrap();
+    // One record after the cut, so the restart also replays the log on
+    // top of the restored snapshot.
+    client.insert(b"late", 1).unwrap();
+    drop(client);
+    handle.crash_and_join().unwrap();
+
+    // Restart from the checkpoint plus the log, replicating to a fresh
+    // node, which the primary bootstraps from its SNAPSHOT envelope.
+    let mut replica_cfg = cfg.clone();
+    replica_cfg.wal_dir = None;
+    let replica = SbfServer::bind(replica_cfg).unwrap().spawn().unwrap();
+    cfg.replicate_to = Some(replica.addr().to_string());
+    let server = SbfServer::bind(cfg).unwrap();
+    let report = server.recovery_report().unwrap();
+    assert!(report.snapshot_loaded);
+    assert_eq!(report.snapshot_mass, u64::MAX);
+    assert_eq!(report.records_replayed, 1);
+    let handle = server.spawn().unwrap();
+    let mut client = connect(handle.addr());
+    assert_eq!(client.estimate(KEY).unwrap(), u64::MAX);
+    assert_eq!(envelope_estimate(&client.snapshot().unwrap()), u64::MAX);
+
+    let repl = handle.state().replicator().expect("replicator").clone();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !repl.connected() {
+        assert!(
+            Instant::now() < deadline,
+            "replica bootstrap did not finish in 10s"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let mut replica_client = connect(replica.addr());
+    assert_eq!(replica_client.estimate(KEY).unwrap(), u64::MAX);
+    assert!(replica_client.estimate(b"other").unwrap() >= 2);
+    assert!(replica_client.estimate(b"late").unwrap() >= 1);
+
+    drop(client);
+    drop(replica_client);
+    handle.shutdown_and_join().unwrap();
+    replica.shutdown_and_join().unwrap();
 }

@@ -9,11 +9,10 @@
 //! * guard (a) — no atomic/`Mutex`/`RwLock` bypasses a `sync.rs`
 //!   facade — is the `sync-facade` pass;
 //! * guard (b) — `ShardedSketch` version stamps are never `Relaxed` —
-//!   is carried by the `ordering-audit` manifest
-//!   (`crates/lint/ordering_audit.toml`): the stamp sites are blessed
-//!   only as `(sharded.rs, insert_by/…, Release)` writer and
-//!   `(sharded.rs, snapshot_cached/…, Acquire)` reader keys, so a
-//!   `Relaxed` stamp shows up as an unlisted site and fails here;
+//!   has nothing left to guard: `ShardedSketch` synchronises through its
+//!   shard locks alone, and the `ordering-audit` manifest
+//!   (`crates/lint/ordering_audit.toml`) has no `sharded.rs` row, so any
+//!   atomic added there shows up as an unlisted site and fails here;
 //! * the facade-existence check is the `sync-facade` pass's
 //!   facade-shape validation.
 //!

@@ -24,15 +24,16 @@ proptest! {
     /// Well-formed frames still decode to the exact counters, over the
     /// whole value domain: each counter is a random word shifted right by
     /// a random amount, so every codeword length from 1 bit to past 64
-    /// bits, at every offset in a word, turns up. The frame matches the
-    /// per-bit oracle bit for bit.
+    /// bits, at every offset in a word, turns up. A shift of 64 stands for
+    /// a saturated counter, `u64::MAX`. The frame matches the per-bit
+    /// oracle bit for bit.
     #[test]
     fn counter_frames_roundtrip(
-        draws in prop::collection::vec((0u32..64, any::<u64>()), 0..256),
+        draws in prop::collection::vec((0u32..65, any::<u64>()), 0..256),
     ) {
         let counters: Vec<u64> = draws
             .iter()
-            .map(|&(shift, word)| (word >> shift).min(u64::MAX - 1))
+            .map(|&(shift, word)| word.checked_shr(shift).unwrap_or(u64::MAX))
             .collect();
         let frame = encode_counters(counters.iter().copied());
         prop_assert_eq!(&frame, &per_bit_counter_frame(&counters));
@@ -293,19 +294,20 @@ proptest! {
 /// low `bitlen(n) − 1` bits of `n`, each MSB first, packed LSB-first into
 /// little-endian words. The oracle the word-at-a-time coder must match.
 fn per_bit_counter_frame(counters: &[u64]) -> Vec<u8> {
-    fn msb_first(bits: &mut Vec<bool>, v: u64, width: usize) {
+    fn msb_first(bits: &mut Vec<bool>, v: u128, width: usize) {
         for i in (0..width).rev() {
             bits.push((v >> i) & 1 == 1);
         }
     }
-    let bit_len = |v: u64| 64 - v.leading_zeros() as usize;
+    let bit_len = |v: u128| 128 - v.leading_zeros() as usize;
     let mut bits = Vec::new();
     for &c in counters {
-        let n = c + 1;
+        // n reaches 2^64 for a saturated counter.
+        let n = u128::from(c) + 1;
         let len = bit_len(n);
-        let len_len = bit_len(len as u64);
+        let len_len = bit_len(len as u128);
         bits.extend(std::iter::repeat_n(false, len_len - 1));
-        msb_first(&mut bits, len as u64, len_len);
+        msb_first(&mut bits, len as u128, len_len);
         msb_first(&mut bits, n, len - 1);
     }
     let mut frame = (counters.len() as u64).to_le_bytes().to_vec();
