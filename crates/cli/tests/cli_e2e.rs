@@ -3,6 +3,8 @@
 use std::io::Write;
 use std::process::{Command, Stdio};
 
+use sbf_db::wire::{FilterEnvelope, FilterKind};
+
 fn sbf_bin() -> &'static str {
     env!("CARGO_BIN_EXE_sbf")
 }
@@ -307,6 +309,31 @@ fn bad_usage_exits_nonzero() {
     let (_, err, ok) = run_with_stdin(&["build", "--m", "10"], "");
     assert!(!ok);
     assert!(err.contains("--out"), "stderr: {err}");
+
+    // Deleted front ends are refused like any unknown command or flag.
+    for args in [
+        &["bench"][..],
+        &["lint"],
+        &["cluster", "serve"],
+        &[
+            "build",
+            "--out",
+            "unused.sbf",
+            "--m",
+            "10",
+            "--ingest-threads",
+            "4",
+        ],
+    ] {
+        let out = Command::new(sbf_bin())
+            .args(args)
+            .stdin(Stdio::null())
+            .output()
+            .expect("run sbf");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains("usage error"), "{args:?}: {err}");
+    }
 }
 
 #[test]
@@ -317,5 +344,23 @@ fn corrupt_filter_file_is_reported() {
     let (_, err, ok) = run_with_stdin(&["info", path.to_str().unwrap()], "");
     assert!(!ok);
     assert!(err.contains("bad filter"), "stderr: {err}");
+
+    // Well-formed envelopes whose geometry no filter has: no counters, no
+    // hash function, or more than the family supports.
+    for (k, m) in [(5, 0), (0, 64), (17, 64)] {
+        let env = FilterEnvelope {
+            kind: FilterKind::MinimumSelection,
+            k,
+            seed: 1,
+            counters: vec![1; m],
+        };
+        std::fs::write(&path, env.encode()).expect("write envelope");
+        let path = path.to_str().unwrap();
+        for args in [&["info", path][..], &["query", "--filter", path]] {
+            let (_, err, ok) = run_with_stdin(args, "");
+            assert!(!ok, "{args:?}");
+            assert!(err.contains("bad filter"), "{args:?}: {err}");
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

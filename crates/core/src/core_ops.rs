@@ -4,6 +4,7 @@
 
 use sbf_hash::{dispatch, HashFamily, IndexBuf, Key, SimdLevel, LANES, MAX_K};
 
+use crate::metrics;
 use crate::num;
 use crate::sketch::BatchRemoveError;
 use crate::store::{CounterStore, RemoveError};
@@ -726,6 +727,11 @@ impl<F: HashFamily, S: CounterStore> SbfCore<F, S> {
     /// Counter-wise multiplication: the join synopsis of §2.2 (*"the
     /// counter vectors are linearly multiplied to generate an SBF
     /// representing the join of the two relations"*).
+    ///
+    /// A product past `u64::MAX` saturates there, like
+    /// [`CounterStore::increment`], and each clamp counts in
+    /// `sbf_counter_saturations_total`; a saturated product is still an
+    /// upper bound on the joined frequency.
     pub fn multiply_assign<S2: CounterStore>(&mut self, other: &SbfCore<F, S2>)
     where
         F: PartialEq,
@@ -736,9 +742,14 @@ impl<F: HashFamily, S: CounterStore> SbfCore<F, S> {
         );
         let mut total = 0u64;
         for i in 0..self.store.len() {
-            let Some(v) = self.store.get(i).checked_mul(other.store.get(i)) else {
-                panic!("join counter overflow")
-            };
+            let v = self
+                .store
+                .get(i)
+                .checked_mul(other.store.get(i))
+                .unwrap_or_else(|| {
+                    metrics::on(|m| m.saturations.inc());
+                    u64::MAX
+                });
             self.store.set(i, v);
             total = total.saturating_add(v);
         }

@@ -25,7 +25,7 @@
 //! | `sbf_estimates_total` | counter | `estimate` calls on any sketch |
 //! | `sbf_estimate_values` | histogram | distribution of returned estimates |
 //! | `sbf_atomic_cas_retries_total` | counter | failed CAS attempts in [`crate::AtomicCounters`] |
-//! | `sbf_counter_saturations_total` | counter | counter increments clamped at `u64::MAX` |
+//! | `sbf_counter_saturations_total` | counter | counter increments and join products clamped at `u64::MAX` |
 //! | `sbf_rm_inserts_total` | counter | Recurring Minimum inserts |
 //! | `sbf_rm_secondary_spills_total` | counter | RM inserts that touched the secondary SBF |
 //! | `sbf_page_faults_total` | counter | buffer misses in [`crate::PagedCounters`] |

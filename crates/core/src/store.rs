@@ -92,15 +92,15 @@ pub trait CounterStore {
     /// ingest path runs behind server locks, and a hostile or merely
     /// long-running stream must not be able to panic a thread mid-insert.
     /// Saturation preserves the paper's one-sided contract — a pinned
-    /// counter can only *over*-estimate — and is unreachable in practice
-    /// (2⁶⁴ increments). Debug builds still flag it loudly, and telemetry
-    /// counts each clamp in `sbf_counter_saturations_total`.
+    /// counter can only *over*-estimate. It is documented behaviour in
+    /// every build, not a bug: a single INSERT with `count = u64::MAX`, or a
+    /// MERGE onto a counter that holds one, reaches it. Telemetry counts
+    /// each clamp in `sbf_counter_saturations_total`.
     fn increment(&mut self, i: usize, by: u64) {
         let v = self.get(i);
         let (next, overflowed) = v.overflowing_add(by);
         if overflowed {
             metrics::on(|m| m.saturations.inc());
-            debug_assert!(false, "counter {i} overflow");
             self.set(i, u64::MAX);
         } else {
             self.set(i, next);
@@ -203,7 +203,6 @@ impl CounterStore for PlainCounters {
         let (next, overflowed) = v.overflowing_add(by);
         if overflowed {
             metrics::on(|m| m.saturations.inc());
-            debug_assert!(false, "counter {i} overflow");
             self.counters[i] = u64::MAX;
         } else {
             self.counters[i] = next;

@@ -14,8 +14,8 @@
 //! | `wire-protocol` | opcodes/`ErrorCode`/variants agree across proto, client, dispatch, recovery, DESIGN.md |
 //! | `metric-names` | telemetry names unique, grammatical, documented |
 //!
-//! It runs as `cargo run -p sbf-lint -- --deny-all`, as the `sbf lint`
-//! CLI subcommand, and as the tier-1 `tests/static_guards.rs` test.
+//! It runs as `cargo run -p sbf-lint -- --deny-all` and as the tier-1
+//! `tests/static_guards.rs` test.
 //! See DESIGN.md §4j for the pass table and blessing workflow.
 
 #![warn(missing_docs)]
@@ -154,8 +154,8 @@ pub fn run_all(root: &Path, modelcheck: bool) -> std::io::Result<Vec<Diagnostic>
 }
 
 /// Walks up from `start` to the directory whose `Cargo.toml` declares
-/// `[workspace]` — how the binary and the `sbf lint` subcommand find the
-/// tree to analyze without being told.
+/// `[workspace]` — how the binary finds the tree to analyze without being
+/// told.
 pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     let mut dir = Some(start);
     while let Some(d) = dir {

@@ -298,3 +298,12 @@ fn metrics_fixture_catches_grammar_kind_suffix_and_doc_violations() {
         render(&diags)
     );
 }
+
+#[test]
+fn unknown_pass_names_are_a_driver_diagnostic() {
+    let diags = sbf_lint::run_selected(&repo_root(), false, &["bogus".to_string()])
+        .expect("workspace loads");
+    assert_eq!(diags.len(), 1, "{}", render(&diags));
+    assert_eq!(diags[0].pass, "driver");
+    assert!(diags[0].message.contains("unknown pass `bogus`"));
+}

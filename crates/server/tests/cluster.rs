@@ -6,7 +6,8 @@
 //! after a primary crash never under-counts an acknowledged mutation; and
 //! a cross-node spectral Bloomjoin reports the same group set as the
 //! in-process verified join on identical relations, shipping a small
-//! fraction of the bytes that shipping the relation would.
+//! fraction of the bytes that shipping the relation would, and saturating
+//! a counter product past `u64::MAX` instead of panicking.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -459,6 +460,30 @@ fn cross_node_join_matches_in_process_verified_join() {
         Ok(_) => panic!("join against a dead peer must fail"),
     }
     site_a.shutdown_and_join().unwrap();
+}
+
+/// A JOIN_PLAN whose counter product passes `u64::MAX` saturates instead
+/// of panicking the reactor: node A holds a key at `count = u64::MAX`, peer
+/// B holds it twice, the join answers `u64::MAX` for it, and A's
+/// connection still answers a PING afterwards.
+#[test]
+fn join_plan_saturates_an_overflowing_product() {
+    let _joins = join_lock();
+    let site_a = spawn_node(config());
+    let site_b = spawn_node(config());
+    let mut a = SbfClient::builder(site_a.addr()).connect().unwrap();
+    let mut b = SbfClient::builder(site_b.addr()).connect().unwrap();
+    a.insert(b"hot", u64::MAX).unwrap();
+    b.insert(b"hot", 1).unwrap();
+    b.insert(b"hot", 1).unwrap();
+    let joined = a
+        .join_plan(&site_b.addr().to_string(), 1, &[b"hot"])
+        .unwrap();
+    assert_eq!(joined, vec![u64::MAX]);
+    a.ping().unwrap();
+    drop((a, b));
+    site_a.shutdown_and_join().unwrap();
+    site_b.shutdown_and_join().unwrap();
 }
 
 /// The wire Bloomjoin ships one Elias-δ coded filter envelope instead of

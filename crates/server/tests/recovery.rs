@@ -390,10 +390,12 @@ fn zero_timeouts_are_typed_config_errors_not_untimed_service() {
     assert!(err.to_string().contains("write_timeout"));
 }
 
-/// One INSERT of `count = u64::MAX` saturates its key's counters. The node
-/// must still code its filter envelope on every path: SNAPSHOT,
-/// JOIN_FILTER, a checkpoint, the restore and replay after a crash, and a
-/// replica bootstrap. The key reads `u64::MAX` after each.
+/// One INSERT of `count = u64::MAX` saturates its key's counters, and a
+/// second such INSERT and a MERGE of an envelope onto them saturate again
+/// (in debug builds too). The node must still code its filter envelope on
+/// every path: SNAPSHOT, JOIN_FILTER, a checkpoint, the restore and replay
+/// after a crash, and a replica bootstrap. The key reads `u64::MAX` after
+/// each.
 #[test]
 fn saturated_counter_survives_every_envelope_path() {
     const KEY: &[u8] = b"saturated";
@@ -412,6 +414,13 @@ fn saturated_counter_survives_every_envelope_path() {
     // A second key in the same node: the shard totals it adds to must
     // saturate too.
     client.insert(b"other", 2).unwrap();
+    // Past saturation: the live counters and then the merged remote
+    // filter clamp at u64::MAX instead of wrapping or panicking.
+    client.insert(KEY, u64::MAX).unwrap();
+    assert_eq!(client.estimate(KEY).unwrap(), u64::MAX);
+    let saturated = client.snapshot().unwrap();
+    client.merge(&saturated).unwrap();
+    assert_eq!(client.estimate(KEY).unwrap(), u64::MAX);
     assert_eq!(envelope_estimate(&client.snapshot().unwrap()), u64::MAX);
     assert_eq!(
         envelope_estimate(&client.join_filter(M, K, SEED).unwrap()),
