@@ -86,102 +86,6 @@ macro_rules! pipelined_batch {
 }
 pub(crate) use pipelined_batch;
 
-/// One step of the lane-pass pipeline ([`lane_pipeline`]): either a freshly
-/// hashed item whose counter lines should be requested now (a chunk ahead
-/// of use), or the current item to consume, in order.
-pub(crate) enum LaneOp<'a> {
-    /// Hashed a chunk ahead — issue the prefetch hints for this item.
-    Prefetch(&'a IndexBuf),
-    /// The current item's indices, in hash-function order (not deduplicated).
-    Apply(&'a IndexBuf),
-}
-
-/// Hashes one full lane group of [`LANES`] canonical key values through the
-/// family's SIMD kernel and transposes the seed-major output into per-item
-/// [`IndexBuf`]s (`bufs[lane]`).
-#[inline]
-fn fill_lane_group<F: HashFamily>(family: &F, vs: [u64; LANES], bufs: &mut [IndexBuf]) {
-    let k = family.k();
-    let mut stage = [0usize; LANES * MAX_K];
-    family.indexes_lanes(vs, &mut stage[..k * LANES]);
-    for (lane, buf) in bufs.iter_mut().enumerate().take(LANES) {
-        buf.fill(k, |slots| {
-            for (f, slot) in slots.iter_mut().enumerate() {
-                *slot = stage[f * LANES + lane];
-            }
-        });
-    }
-}
-
-/// The lane-pass analogue of [`pipelined_batch!`]: items are hashed in
-/// groups of [`LANES`] through the family's SIMD kernel (scalar remainder
-/// per chunk), one chunk of [`PIPELINE_DEPTH`] items ahead of consumption,
-/// and applied strictly in order — so results stay bit-identical to the
-/// item-at-a-time path.
-///
-/// `canon` maps an item position to its canonical key value (the
-/// [`Key::canonical`] contract every family hashes from); `op` receives
-/// [`LaneOp::Prefetch`] once per item as its chunk is hashed — a chunk
-/// before the matching [`LaneOp::Apply`] — and may capture mutable state
-/// (a `&mut` store, an output vector): hashing needs only `family` and
-/// `canon`, so the borrows never overlap.
-///
-/// The index sets are not deduplicated, so only minimum reads use it. The
-/// write paths stay on the scalar [`pipelined_batch!`] pipeline: even with
-/// dedup reduced to a pairwise test ([`IndexBuf::dedup`]), lane-hashed
-/// `increment_batch{,_picked}` measured no faster than scalar on
-/// 2026-10-17 (see DESIGN.md §4i).
-pub(crate) fn lane_pipeline<F: HashFamily>(
-    family: &F,
-    n: usize,
-    canon: impl Fn(usize) -> u64,
-    mut op: impl FnMut(LaneOp<'_>),
-) {
-    if n == 0 {
-        return;
-    }
-    let fill = |bufs: &mut [IndexBuf; PIPELINE_DEPTH], base: usize, len: usize| {
-        let mut i = 0;
-        while i + LANES <= len {
-            let b = base + i;
-            let vs = [canon(b), canon(b + 1), canon(b + 2), canon(b + 3)];
-            fill_lane_group(family, vs, &mut bufs[i..]);
-            i += LANES;
-        }
-        for (j, buf) in bufs.iter_mut().enumerate().take(len).skip(i) {
-            let v = canon(base + j);
-            buf.fill(family.k(), |slots| family.indexes_into(&v, slots));
-        }
-    };
-    let mut cur = [IndexBuf::new(); PIPELINE_DEPTH];
-    let mut nxt = [IndexBuf::new(); PIPELINE_DEPTH];
-    let mut base = 0usize;
-    let mut cur_len = PIPELINE_DEPTH.min(n);
-    fill(&mut cur, 0, cur_len);
-    for buf in cur.iter().take(cur_len) {
-        op(LaneOp::Prefetch(buf));
-    }
-    loop {
-        let next_base = base + cur_len;
-        let next_len = PIPELINE_DEPTH.min(n - next_base);
-        if next_len > 0 {
-            fill(&mut nxt, next_base, next_len);
-            for buf in nxt.iter().take(next_len) {
-                op(LaneOp::Prefetch(buf));
-            }
-        }
-        for buf in cur.iter().take(cur_len) {
-            op(LaneOp::Apply(buf));
-        }
-        if next_len == 0 {
-            return;
-        }
-        std::mem::swap(&mut cur, &mut nxt);
-        base = next_base;
-        cur_len = next_len;
-    }
-}
-
 /// Whether the lane-pass estimate engines are worth dispatching for a
 /// batch of `n` items: a SIMD level is active and the batch covers at
 /// least one lane group.
@@ -212,27 +116,6 @@ pub(crate) fn raw_indexes_into<F: HashFamily, K: Key + ?Sized>(
     out: &mut IndexBuf,
 ) {
     out.fill(family.k(), |slots| family.indexes_into(key, slots));
-}
-
-/// Writes the counter indices of `key` into `out`: distinct, in
-/// hash-function order unless a collision forced a sort.
-///
-/// The one canonicalisation every counter mutation goes through — shared
-/// by [`SbfCore`] and [`crate::AtomicMsSbf`], so the two stay
-/// counter-for-counter identical under identical operations. Two hash
-/// functions can collide on the same counter (`h_i(x) = h_j(x)`); the
-/// paper's §3.1 model increments each *distinct* counter once per
-/// occurrence, so the duplicate is dropped here — otherwise one insert
-/// would bump the shared counter twice and permanently inflate
-/// `min`-based estimates.
-#[inline]
-pub(crate) fn distinct_indexes_into<F: HashFamily, K: Key + ?Sized>(
-    family: &F,
-    key: &K,
-    out: &mut IndexBuf,
-) {
-    raw_indexes_into(family, key, out);
-    out.dedup();
 }
 
 /// The counter values of one key, in index-set order, plus the derived
@@ -395,7 +278,8 @@ impl<F: HashFamily, S: CounterStore> SbfCore<F, S> {
     /// `IndexBuf` struct per item (see [`IndexBuf::fill`]).
     #[inline]
     pub fn key_indexes_into<K: Key + ?Sized>(&self, key: &K, out: &mut IndexBuf) {
-        distinct_indexes_into(&self.family, key, out);
+        raw_indexes_into(&self.family, key, out);
+        out.dedup();
     }
 
     /// Prefetches the counter cache lines behind `idx` (no-op for stores

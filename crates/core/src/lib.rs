@@ -20,8 +20,8 @@
 //! | [`TrappingRmSbf`] | 3.3.1 | ✔ | ✔ | RM + late-detection compensation |
 //!
 //! All algorithms implement [`MultisetSketch`] (updates) over the
-//! [`SketchReader`] query supertrait — which the concurrent backends
-//! [`AtomicMsSbf`] and [`ShardedSketch`] also implement —
+//! [`SketchReader`] query supertrait — which the concurrent
+//! [`ShardedSketch`] also implements —
 //! and are generic over the hash family (`sbf-hash`) and over the counter
 //! storage: [`PlainCounters`] (one word per counter, fastest) or
 //! [`CompressedCounters`] (the §4 String-Array-Index representation at
@@ -60,7 +60,6 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
-pub mod atomic_store;
 pub mod bloom;
 pub mod core_ops;
 pub mod estimator;
@@ -81,7 +80,6 @@ pub mod sync;
 pub mod trap;
 pub mod window;
 
-pub use atomic_store::{AtomicCounters, AtomicMsSbf, BlockedAtomicMsSbf, ConcurrentCounterStore};
 pub use bloom::BloomFilter;
 pub use core_ops::{SbfCore, PIPELINE_DEPTH};
 pub use estimator::{median_of_means_estimate, rm_combined_estimate, unbiased_estimate};
@@ -96,7 +94,7 @@ pub use paged::{IoStats, PagedCounters};
 pub use params::{bloom_error_rate, optimal_k, FromParams, SbfParams};
 pub use range::RangeTreeSketch;
 pub use rm::RmSbf;
-pub use sharded::{BlockedShardedSketch, ShardMerge, ShardedSketch};
+pub use sharded::{ShardMerge, ShardedSketch};
 pub use sketch::{BatchRemoveError, MultisetSketch, SketchReader};
 pub use spectrum::{frequency_histogram, profile, SpectrumProfile};
 pub use store::{CompactCounters, CompressedCounters, CounterStore, PlainCounters, RemoveError};

@@ -24,7 +24,6 @@
 //! | `sbf_removes_total` | counter | `remove_by` calls on any sketch |
 //! | `sbf_estimates_total` | counter | `estimate` calls on any sketch |
 //! | `sbf_estimate_values` | histogram | distribution of returned estimates |
-//! | `sbf_atomic_cas_retries_total` | counter | failed CAS attempts in [`crate::AtomicCounters`] |
 //! | `sbf_counter_saturations_total` | counter | counter increments and join products clamped at `u64::MAX` |
 //! | `sbf_rm_inserts_total` | counter | Recurring Minimum inserts |
 //! | `sbf_rm_secondary_spills_total` | counter | RM inserts that touched the secondary SBF |
@@ -52,8 +51,6 @@ pub struct CoreMetrics {
     pub estimates: Arc<Counter>,
     /// `sbf_estimate_values`.
     pub estimate_values: Arc<Histogram>,
-    /// `sbf_atomic_cas_retries_total`.
-    pub cas_retries: Arc<Counter>,
     /// `sbf_counter_saturations_total`.
     pub saturations: Arc<Counter>,
     /// `sbf_rm_inserts_total`.
@@ -83,7 +80,6 @@ pub fn core_metrics() -> &'static CoreMetrics {
             removes: reg.counter("sbf_removes_total"),
             estimates: reg.counter("sbf_estimates_total"),
             estimate_values: reg.histogram("sbf_estimate_values"),
-            cas_retries: reg.counter("sbf_atomic_cas_retries_total"),
             saturations: reg.counter("sbf_counter_saturations_total"),
             rm_inserts: reg.counter("sbf_rm_inserts_total"),
             rm_secondary_spills: reg.counter("sbf_rm_secondary_spills_total"),

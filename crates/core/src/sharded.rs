@@ -1,13 +1,13 @@
 //! Hash-partitioned concurrent sketches: per-shard locks instead of one
 //! global lock.
 //!
-//! Minimal Increase and Recurring Minimum inserts are read-modify-write
-//! over several counters (MI reads the minimum before raising, RM decides
-//! between primary and secondary), so unlike Minimum Selection they cannot
-//! run lock-free — see [`crate::AtomicMsSbf`] for that path. What *can* be
-//! removed is the global lock: [`ShardedSketch`] hash-partitions keys
-//! across `S` independent sub-filters, each behind its own `RwLock`, so
-//! producers working on different shards never contend.
+//! Every sketch mutates through `&mut self`: Minimal Increase reads the
+//! minimum before raising, Recurring Minimum decides between primary and
+//! secondary, and even a Minimum Selection insert updates `k` counters.
+//! [`ShardedSketch`] replaces the one global lock with one lock per
+//! sub-filter: it hash-partitions keys across `S` independent sub-filters,
+//! each behind its own `RwLock`, so producers working on different shards
+//! never contend.
 //!
 //! Because every occurrence of a key routes to the same shard, each shard
 //! is an exact sketch of its own sub-multiset, and §5's distributed union
@@ -23,7 +23,7 @@ use sbf_hash::{fmix64, HashFamily, Key};
 
 use crate::metrics;
 use crate::mi::MiSbf;
-use crate::ms::{BlockedMsSbf, MsSbf};
+use crate::ms::MsSbf;
 use crate::num;
 use crate::params::{FromParams, SbfParams};
 use crate::rm::RmSbf;
@@ -206,29 +206,6 @@ impl<SK> ShardedSketch<SK> {
     pub fn with_shard_read<R>(&self, i: usize, f: impl FnOnce(&SK) -> R) -> R {
         let guard = lock_unpoisoned(self.shards[i].read());
         f(&guard)
-    }
-}
-
-/// Sharded blocked variant: combines the per-shard locking of
-/// [`ShardedSketch`] with the 1-cache-miss-per-item blocked layout of
-/// [`BlockedMsSbf`], so both the routing hash *and* the counter probes stay
-/// cache-friendly under concurrency.
-pub type BlockedShardedSketch = ShardedSketch<BlockedMsSbf>;
-
-impl BlockedShardedSketch {
-    /// Builds `num_shards` identical blocked MS shards, each with
-    /// `num_blocks` cache-line-sized blocks of `block_size` counters (see
-    /// [`BlockedMsSbf::new_blocked`] for the layout invariants).
-    pub fn blocked_ms(
-        num_shards: usize,
-        block_size: usize,
-        num_blocks: usize,
-        k: usize,
-        seed: u64,
-    ) -> Self {
-        Self::with_shards(num_shards, |_| {
-            BlockedMsSbf::new_blocked(block_size, num_blocks, k, seed)
-        })
     }
 }
 
@@ -582,26 +559,6 @@ mod tests {
         let merged = sketch.snapshot();
         for key in 0u64..100 {
             assert!(merged.estimate(&key) >= 2);
-        }
-    }
-
-    #[test]
-    fn blocked_sharded_matches_single_blocked_sketch() {
-        // Union of blocked shards must equal one blocked sketch fed the same
-        // stream: per-key routing keeps each shard exact over its own
-        // sub-multiset, and identical (block_size, num_blocks, k, seed) make
-        // the counter layouts line up for §5 addition.
-        let sharded = BlockedShardedSketch::blocked_ms(4, 128, 64, 4, 9);
-        let mut single = BlockedMsSbf::new_blocked(128, 64, 4, 9);
-        let keys: Vec<u64> = (0..500).map(|i| i * 31 + 7).collect();
-        sharded.insert_batch(&keys);
-        for key in &keys {
-            single.insert(key);
-        }
-        let merged = sharded.snapshot();
-        for key in &keys {
-            assert_eq!(merged.estimate(key), single.estimate(key));
-            assert!(sharded.estimate(key) >= 1);
         }
     }
 

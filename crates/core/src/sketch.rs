@@ -39,9 +39,8 @@ impl std::error::Error for BatchRemoveError {
 
 /// Read-only multiplicity queries by `&self`.
 ///
-/// This is the half of the sketch contract that concurrent backends can
-/// honour without exclusive access: [`crate::AtomicMsSbf`] and
-/// [`crate::ShardedSketch`] implement it
+/// This is the half of the sketch contract that a concurrent backend can
+/// honour without exclusive access: [`crate::ShardedSketch`] implements it
 /// alongside the four single-threaded algorithms, so query-side code —
 /// iceberg scans, join candidate filtering — is written once over any
 /// backend.

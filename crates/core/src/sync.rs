@@ -1,32 +1,19 @@
 //! Synchronization facade: the single point where this crate's concurrent
 //! code binds to either `std::sync` or the in-workspace model checker.
 //!
-//! Every atomic, mutex and rwlock used by the lock-free layer
-//! ([`crate::atomic_store`], [`crate::sharded`], [`crate::metrics`]) is
-//! imported from here, never from `std::sync` directly (enforced by
-//! `sbf-lint`'s sync-facade pass). Normal builds re-export `std` types
-//! with zero overhead; under `RUSTFLAGS='--cfg sbf_modelcheck'` the same
-//! paths resolve to `sbf-modelcheck`'s model types, so the exhaustive
-//! interleaving tests in `tests/modelcheck_suite.rs` exercise the exact
-//! production code.
+//! Every mutex, rwlock and shared handle used by the concurrent layer
+//! ([`crate::sharded`], [`crate::metrics`]) is imported from here, never
+//! from `std::sync` directly (enforced by `sbf-lint`'s sync-facade pass).
+//! Normal builds re-export `std` types with zero overhead; under
+//! `RUSTFLAGS='--cfg sbf_modelcheck'` the same paths resolve to
+//! `sbf-modelcheck`'s model types, so the exhaustive interleaving tests in
+//! `tests/modelcheck_suite.rs` exercise the exact production code.
 
 #[cfg(not(sbf_modelcheck))]
 pub use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
-/// Atomic integer types, mirroring `std::sync::atomic`.
-#[cfg(not(sbf_modelcheck))]
-pub mod atomic {
-    pub use std::sync::atomic::{AtomicU64, Ordering};
-}
-
 #[cfg(sbf_modelcheck)]
 pub use sbf_modelcheck::sync::{Arc, Mutex, OnceLock, RwLock};
-
-/// Model atomic integer types (checker build).
-#[cfg(sbf_modelcheck)]
-pub mod atomic {
-    pub use sbf_modelcheck::sync::atomic::{AtomicU64, Ordering};
-}
 
 /// Unwraps a lock guard, propagating poisoning as a panic.
 ///

@@ -7,40 +7,7 @@
 
 use std::sync::Arc;
 
-use spectral_bloom::{AtomicMsSbf, MiSbf, MsSbf, RemoveError, RmSbf, ShardedSketch, SketchReader};
-
-/// Lock-free MS never undercounts: with 8 producers hammering overlapping
-/// keys, every completed insert is visible in the final estimate.
-#[test]
-fn atomic_ms_never_undercounts() {
-    let sbf = AtomicMsSbf::new(1 << 15, 5, 21);
-    const THREADS: u64 = 8;
-    const KEYS: u64 = 500;
-    const REPS: u64 = 4;
-    std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let sbf = &sbf;
-            scope.spawn(move || {
-                // Overlapping key ranges: every key is hit by two threads.
-                let base = (t / 2) * KEYS;
-                for i in 0..KEYS {
-                    for _ in 0..REPS {
-                        sbf.insert(&(base + i));
-                    }
-                }
-            });
-        }
-    });
-    assert_eq!(sbf.total_count(), THREADS * KEYS * REPS);
-    for key in 0..(THREADS / 2) * KEYS {
-        assert!(
-            sbf.estimate(&key) >= 2 * REPS,
-            "undercount for {key}: {} < {}",
-            sbf.estimate(&key),
-            2 * REPS
-        );
-    }
-}
+use spectral_bloom::{MiSbf, MsSbf, RemoveError, RmSbf, ShardedSketch, SketchReader};
 
 /// The sharded aggregate equals the sum of its parts after a mixed
 /// insert/remove workload: no count is lost to or duplicated by routing.
@@ -122,27 +89,6 @@ fn failed_removes_under_contention_leave_counters_unchanged() {
     }
 }
 
-/// Saturating decrement on the atomic store: concurrent over-removals clamp
-/// at zero instead of wrapping into a huge bogus count.
-#[test]
-fn atomic_remove_saturating_clamps_at_zero() {
-    let sbf = AtomicMsSbf::new(4096, 4, 77);
-    sbf.insert_by(&42u64, 10);
-    std::thread::scope(|scope| {
-        for _ in 0..4 {
-            let sbf = &sbf;
-            scope.spawn(move || {
-                for _ in 0..20 {
-                    sbf.remove_saturating(&42u64, 1);
-                }
-            });
-        }
-    });
-    // 80 decrements against 10 insertions: counters floor at 0, never wrap.
-    assert_eq!(sbf.estimate(&42u64), 0);
-    assert_eq!(sbf.total_count(), 0);
-}
-
 /// An `Arc`-shared sketch over MI shards: batch ingest from several
 /// threads keeps the one-sided bound and the exact global total, and a
 /// reader running alongside never sees an earlier insert disappear.
@@ -176,33 +122,4 @@ fn shared_mi_batches_stay_one_sided() {
             "undercount for {key}"
         );
     }
-}
-
-/// Snapshots taken while producers are mid-stream are internally consistent
-/// prefixes: one-sided for whatever subset of inserts they observed, and
-/// never larger than the final filter.
-#[test]
-fn snapshot_during_ingest_is_a_consistent_prefix() {
-    let sbf = AtomicMsSbf::new(1 << 14, 5, 13);
-    let done = std::sync::atomic::AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        let sbf_ref = &sbf;
-        let done_ref = &done;
-        scope.spawn(move || {
-            for i in 0..50_000u64 {
-                sbf_ref.insert(&(i % 500));
-            }
-            done_ref.store(true, std::sync::atomic::Ordering::Release);
-        });
-        scope.spawn(move || {
-            while !done_ref.load(std::sync::atomic::Ordering::Acquire) {
-                let snap = sbf_ref.snapshot();
-                // A snapshot never exceeds what was ever inserted…
-                assert!(snap.total_count() <= 50_000);
-                // …and its estimates respect its own total.
-                assert!(snap.estimate(&0u64) <= snap.total_count().max(1));
-            }
-        });
-    });
-    assert_eq!(sbf.total_count(), 50_000);
 }

@@ -6,7 +6,7 @@
 //!
 //! ```toml
 //! [[site]]
-//! file = "crates/core/src/atomic_store.rs"
+//! file = "crates/telemetry/src/metric.rs"
 //! func = "record"
 //! ordering = "Relaxed"
 //! count = 2
@@ -198,7 +198,7 @@ mod tests {
     #[test]
     fn roundtrips_through_render_and_parse() {
         let entries = vec![SiteEntry {
-            file: "crates/core/src/atomic_store.rs".into(),
+            file: "crates/telemetry/src/metric.rs".into(),
             func: "record".into(),
             ordering: "Relaxed".into(),
             count: 2,

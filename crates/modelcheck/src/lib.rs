@@ -1,5 +1,5 @@
 //! `sbf-modelcheck` — a dependency-free, loom-style model checker for the
-//! workspace's lock-free layer.
+//! workspace's concurrent protocols.
 //!
 //! The crates registry is unreachable in this build environment, so the
 //! usual tool for this job (`loom`) is out of reach; this crate implements

@@ -42,6 +42,8 @@
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
+use std::os::unix::fs::FileExt;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -56,6 +58,15 @@ pub const SNAPSHOT_FILE: &str = "snapshot.sbf";
 /// Suffix of in-flight atomic writes; anything still wearing it at boot is
 /// a crashed write and is deleted by recovery.
 pub const TMP_SUFFIX: &str = ".tmp";
+
+/// Opens (or creates) a generation log for positioned writes.
+fn open_log(path: &Path) -> io::Result<File> {
+    OpenOptions::new()
+        .create(true)
+        .truncate(false)
+        .write(true)
+        .open(path)
+}
 
 /// Log file name for a generation.
 pub(crate) fn log_file_name(generation: u64) -> String {
@@ -128,11 +139,12 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
 /// with the checkpoint cut (the ordering the recovery proof rests on).
 #[derive(Debug)]
 struct WalInner {
-    /// The open generation log, in append mode.
+    /// The open generation log. Records are written at `log_bytes`, not in
+    /// append mode (see [`Wal::append`]).
     file: File,
     /// Generation of `file`.
     generation: u64,
-    /// Bytes in `file` (records only; equal to its length).
+    /// End of the last record that was written and fsynced in `file`.
     log_bytes: u64,
     /// Size of the last durable snapshot (0 before the first checkpoint).
     snapshot_bytes: u64,
@@ -161,7 +173,7 @@ impl Wal {
         let logs = list_logs(dir)?;
         let generation = logs.last().map_or(0, |&(generation, _)| generation);
         let path = dir.join(log_file_name(generation));
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let file = open_log(&path)?;
         let log_bytes = file.metadata()?.len();
         let snapshot_bytes = fs::metadata(dir.join(SNAPSHOT_FILE)).map_or(0, |m| m.len());
         // Make sure a freshly created first log survives power loss.
@@ -189,12 +201,18 @@ impl Wal {
     /// fsyncs it. On `Ok`, the mutation is durable and may be
     /// acknowledged; on `Err` it MUST NOT be acknowledged as applied
     /// (the caller answers [`crate::proto::ErrorCode::Io`]).
+    ///
+    /// The record is written at the end of the last good record, not at
+    /// the end of the file. A write that failed part-way leaves bytes past
+    /// that end; the next record overwrites them instead of landing behind
+    /// them, where recovery, which stops at the first bad record, would
+    /// never reach it.
     pub fn append(&self, payload: &[u8]) -> io::Result<()> {
         let mut rec = Vec::with_capacity(logrec::RECORD_HEADER_LEN + payload.len());
         logrec::append_record(&mut rec, payload)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         let mut inner = lock_unpoisoned(self.inner.lock());
-        inner.file.write_all(&rec)?;
+        inner.file.write_all_at(&rec, inner.log_bytes)?;
         let fsync_started = Instant::now();
         inner.file.sync_data()?;
         inner.log_bytes += rec.len() as u64;
@@ -226,6 +244,10 @@ impl Wal {
     /// generation log, then — off the lock — atomically writes the
     /// snapshot and deletes the superseded logs.
     ///
+    /// A panic in `cut` is caught before it can poison the append lock,
+    /// and returned as `Err` with the generation and the logs untouched,
+    /// so later appends and checkpoints proceed.
+    ///
     /// Crash windows, in order, all recover one-sided:
     /// - before the snapshot rename: old snapshot + all logs (old and new
     ///   generation) replay; records the cut had folded in double-apply —
@@ -236,10 +258,11 @@ impl Wal {
     pub fn checkpoint(&self, cut: impl FnOnce() -> Vec<u8>) -> io::Result<()> {
         let (envelope, stale_logs, new_generation) = {
             let mut inner = lock_unpoisoned(self.inner.lock());
-            let envelope = cut();
+            let envelope = panic::catch_unwind(AssertUnwindSafe(cut))
+                .map_err(|_| io::Error::other("checkpoint cut panicked"))?;
             let new_generation = inner.generation + 1;
             let path = self.dir.join(log_file_name(new_generation));
-            let file = OpenOptions::new().create(true).append(true).open(&path)?;
+            let file = open_log(&path)?;
             inner.file = file;
             inner.generation = new_generation;
             inner.log_bytes = 0;
@@ -325,6 +348,48 @@ mod tests {
         wal.append(b"record-b").unwrap();
         let bytes = fs::read(dir.join(log_file_name(1))).unwrap();
         assert_eq!(LogScanner::new(&bytes).count(), 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_panicking_cut_fails_the_checkpoint_and_leaves_the_log_usable() {
+        let dir = tmpdir("cut-panic");
+        let wal = Wal::open(&dir, 4, 16).unwrap();
+        wal.append(b"record-a").unwrap();
+        assert!(wal.checkpoint(|| panic!("cut failed")).is_err());
+        let generations = || {
+            list_logs(&dir)
+                .unwrap()
+                .iter()
+                .map(|&(generation, _)| generation)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(generations(), vec![0], "a failed cut rotates nothing");
+        assert!(!dir.join(SNAPSHOT_FILE).exists());
+        wal.append(b"record-b").unwrap();
+        let bytes = fs::read(dir.join(log_file_name(0))).unwrap();
+        assert_eq!(LogScanner::new(&bytes).count(), 2);
+        wal.checkpoint(|| b"SNAP".to_vec()).unwrap();
+        assert_eq!(fs::read(dir.join(SNAPSHOT_FILE)).unwrap(), b"SNAP");
+        assert_eq!(generations(), vec![1]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_partial_record_does_not_hide_later_appends() {
+        let dir = tmpdir("partial");
+        let wal = Wal::open(&dir, 4, 1 << 20).unwrap();
+        wal.append(b"one").unwrap();
+        // What a write that failed part-way leaves behind the last record.
+        let path = dir.join(log_file_name(0));
+        let mut other = OpenOptions::new().append(true).open(&path).unwrap();
+        other.write_all(&[0xA5; 5]).unwrap();
+        wal.append(b"two").unwrap();
+        let bytes = fs::read(&path).unwrap();
+        let mut scan = LogScanner::new(&bytes);
+        let records: Vec<&[u8]> = scan.by_ref().collect();
+        assert_eq!(records, vec![&b"one"[..], b"two"]);
+        assert_eq!(scan.tail(), TailStatus::Clean);
         fs::remove_dir_all(&dir).unwrap();
     }
 

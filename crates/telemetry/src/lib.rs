@@ -2,8 +2,8 @@
 //!
 //! The workspace's production north star is a long-running service, and a
 //! service needs observable internals: insert/remove/estimate rates,
-//! counter-saturation events, CAS retries on the lock-free ingest path,
-//! per-shard occupancy, wire bytes. This crate provides the primitives:
+//! counter-saturation events, per-shard occupancy, wire bytes. This crate
+//! provides the primitives:
 //!
 //! * [`Counter`] — a monotonically increasing relaxed `AtomicU64`.
 //! * [`Gauge`] — an instantaneous `f64` value (stored as `AtomicU64` bits).

@@ -15,8 +15,8 @@ use std::sync::Mutex;
 use proptest::prelude::*;
 
 use spectral_bloom::{
-    AtomicMsSbf, BlockedMsSbf, BloomFilter, CompactCounters, CompressedCounters, DefaultFamily,
-    MiSbf, MsSbf, MultisetSketch, RmSbf, ShardedSketch, SketchReader,
+    BlockedMsSbf, BloomFilter, CompactCounters, CompressedCounters, DefaultFamily, MiSbf, MsSbf,
+    MultisetSketch, RmSbf, ShardedSketch, SketchReader,
 };
 
 /// Probe set: the inserted keys plus a band of keys that were never
@@ -167,19 +167,6 @@ proptest! {
         assert_eq!(a.inserted(), b.inserted());
     }
 
-    /// Lock-free atomic MS backend, driven single-threaded so batch and
-    /// single paths see identical interleavings.
-    #[test]
-    fn atomic_ms(keys in prop::collection::vec(0u64..500, 0..400), seed in any::<u64>()) {
-        let a = AtomicMsSbf::new(1 << 12, 4, seed);
-        let b = AtomicMsSbf::new(1 << 12, 4, seed);
-        for key in &keys {
-            a.insert(key);
-        }
-        b.insert_batch(&keys);
-        assert_queries_equiv(&a, &b, &keys);
-    }
-
     /// Sharded wrapper: partitioned batch application must equal the
     /// key-at-a-time routing, including removals.
     #[test]
@@ -220,15 +207,6 @@ proptest! {
     #[test]
     fn simd_sharded(keys in prop::collection::vec(0u64..500, 0..400), seed in any::<u64>()) {
         let s = ShardedSketch::with_shards(4, |i| MsSbf::new(1 << 11, 4, seed ^ i as u64));
-        s.insert_batch(&keys);
-        assert_simd_scalar_equiv(&s, &keys);
-    }
-
-    /// SIMD vs scalar, atomic backend — lane hashing with per-element
-    /// atomic loads (no vector gather over atomics).
-    #[test]
-    fn simd_atomic(keys in prop::collection::vec(0u64..500, 0..400), seed in any::<u64>()) {
-        let s = AtomicMsSbf::new(1 << 12, 4, seed);
         s.insert_batch(&keys);
         assert_simd_scalar_equiv(&s, &keys);
     }

@@ -10,8 +10,7 @@ use std::collections::BTreeSet;
 
 use sbf_hash::{HashFamily, MixFamily, MAX_K};
 use spectral_bloom::{
-    AtomicMsSbf, CounterStore, MiSbf, MsSbf, MultisetSketch, RmSbf, SbfCore, ShardedSketch,
-    SketchReader,
+    CounterStore, MiSbf, MsSbf, MultisetSketch, RmSbf, SbfCore, ShardedSketch, SketchReader,
 };
 
 const GEOMETRIES: [(usize, usize); 8] = [
@@ -96,11 +95,6 @@ fn rm_reference(primary: &MixFamily, secondary: &MixFamily, keys: &[u64]) -> [Ve
 
 fn counters<S: CounterStore>(core: &SbfCore<MixFamily, S>) -> Vec<u64> {
     (0..core.m()).map(|i| core.store().get(i)).collect()
-}
-
-fn atomic_counters(sbf: &AtomicMsSbf<MixFamily>) -> Vec<u64> {
-    use spectral_bloom::ConcurrentCounterStore;
-    (0..sbf.m()).map(|i| sbf.store().load(i)).collect()
 }
 
 #[test]
@@ -228,27 +222,13 @@ fn rm_matches_the_set_reference() {
 }
 
 #[test]
-fn atomic_and_sharded_inserts_match_the_set_reference() {
+fn sharded_inserts_match_the_set_reference() {
     let keys = stream();
     for (m, k) in GEOMETRIES {
         let f = family(m, k);
-        let want = ms_reference(&f, &keys);
-
-        let by = AtomicMsSbf::<MixFamily>::from_family(f.clone());
-        for key in &keys {
-            by.insert_by(key, 1);
-        }
-        assert_eq!(atomic_counters(&by), want, "insert_by m={m} k={k}");
-        let batch = AtomicMsSbf::<MixFamily>::from_family(f.clone());
-        batch.insert_batch(&keys);
-        assert_eq!(atomic_counters(&batch), want, "insert_batch m={m} k={k}");
-        for key in 0..23u64 {
-            let set_min = index_set(&f, key).iter().map(|&i| want[i]).min();
-            assert_eq!(Some(batch.estimate(&key)), set_min, "key {key}");
-        }
-
         let sharded = ShardedSketch::with_shards(3, |_| MsSbf::<MixFamily>::from_family(f.clone()));
         sharded.insert_batch(&keys);
+        let mut shard_want = Vec::new();
         for shard in 0..sharded.num_shards() {
             let mine: Vec<u64> = keys
                 .iter()
@@ -257,7 +237,19 @@ fn atomic_and_sharded_inserts_match_the_set_reference() {
                 .collect();
             let got = sharded.with_shard_read(shard, |s| counters(s.core()));
             assert_eq!(got, ms_reference(&f, &mine), "shard {shard} m={m} k={k}");
+            shard_want.push(got);
         }
+        // A key's estimate is the minimum over its distinct index set in
+        // the shard that owns it, single and batched alike.
+        let probes: Vec<u64> = (0..23).collect();
+        for &key in &probes {
+            let want = &shard_want[sharded.shard_of(&key)];
+            let set_min = index_set(&f, key).iter().map(|&i| want[i]).min();
+            assert_eq!(Some(sharded.estimate(&key)), set_min, "key {key}");
+        }
+        let singles: Vec<u64> = probes.iter().map(|p| sharded.estimate(p)).collect();
+        assert_eq!(sharded.estimate_batch(&probes), singles, "m={m} k={k}");
+
         sharded.remove_batch(&keys).unwrap();
         for shard in 0..sharded.num_shards() {
             let got = sharded.with_shard_read(shard, |s| counters(s.core()));
@@ -291,14 +283,6 @@ fn removal_drains_a_colliding_key_to_zero() {
         );
         assert!(
             counters(rm.secondary()).iter().all(|&c| c == 0),
-            "m={m} k={k}"
-        );
-
-        let atomic = AtomicMsSbf::<MixFamily>::from_family(f.clone());
-        atomic.insert_batch(&[key, key]);
-        atomic.remove_saturating(&key, 2);
-        assert!(
-            atomic_counters(&atomic).iter().all(|&c| c == 0),
             "m={m} k={k}"
         );
     }
