@@ -2,9 +2,8 @@
 //! and the marker filter used by the Recurring Minimum refinement (§3.3).
 
 use sbf_bitvec::BitVec;
-use sbf_hash::{HashFamily, IndexBuf, Key};
+use sbf_hash::{HashFamily, Key};
 
-use crate::core_ops::{pipelined_batch, raw_indexes_into};
 use crate::num;
 use crate::DefaultFamily;
 
@@ -74,61 +73,6 @@ impl<F: HashFamily> BloomFilter<F> {
             .as_slice()
             .iter()
             .all(|&i| self.bits.get(i))
-    }
-
-    /// Requests the cache lines holding the bits behind `idx`.
-    #[inline]
-    fn prefetch_idx(&self, idx: &IndexBuf) {
-        for &i in idx.as_slice() {
-            sbf_hash::prefetch_slice(self.bits.words(), i / 64);
-        }
-    }
-
-    /// Write-intent form of [`BloomFilter::prefetch_idx`], for the insert
-    /// pipeline (bit sets are stores; see `CounterStore::prefetch_write`).
-    #[inline]
-    fn prefetch_idx_write(&self, idx: &IndexBuf) {
-        for &i in idx.as_slice() {
-            sbf_hash::prefetch_slice_write(self.bits.words(), i / 64);
-        }
-    }
-
-    /// Sets the bits of every key, software-pipelined (item `i+D` is hashed
-    /// and its bit words prefetched while item `i`'s bits are set).
-    /// Equivalent to inserting each key in turn.
-    pub fn insert_batch<K: Key>(&mut self, keys: &[K]) {
-        pipelined_batch!(
-            keys,
-            hash = |key, slot| raw_indexes_into(&self.family, key, slot),
-            prefetch = |idx| self.prefetch_idx_write(idx),
-            apply = |_i, idx| {
-                for &i in idx.as_slice() {
-                    self.bits.set(i, true);
-                }
-                self.inserted += 1;
-            }
-        );
-    }
-
-    /// Membership-tests every key, software-pipelined; `out` is cleared
-    /// first and `out[i]` answers `keys[i]`, exactly as
-    /// [`BloomFilter::contains`] would.
-    pub fn contains_batch_into<K: Key>(&self, keys: &[K], out: &mut Vec<bool>) {
-        out.clear();
-        out.reserve(keys.len());
-        pipelined_batch!(
-            keys,
-            hash = |key, slot| raw_indexes_into(&self.family, key, slot),
-            prefetch = |idx| self.prefetch_idx(idx),
-            apply = |_i, idx| out.push(idx.as_slice().iter().all(|&i| self.bits.get(i)))
-        );
-    }
-
-    /// Convenience form of [`BloomFilter::contains_batch_into`].
-    pub fn contains_batch<K: Key>(&self, keys: &[K]) -> Vec<bool> {
-        let mut out = Vec::new();
-        self.contains_batch_into(keys, &mut out);
-        out
     }
 
     /// Unites another filter into this one (bitwise OR) — the Bloom

@@ -1,12 +1,15 @@
 //! The shared machinery under every SBF algorithm: `k` hashed counters,
 //! bulk increment/decrement, minima inspection, union and multiply — plus
-//! the software-pipelined batch engine the batched trait methods build on.
+//! the two software-pipelined batch engines: ingest
+//! ([`SbfCore::increment_batch`], [`SbfCore::increment_batch_picked`]) and
+//! minimum ([`SbfCore::min_batch_into`], [`SbfCore::min_batch_picked_into`]).
+//! Minimum Selection is the one sketch whose batched trait methods call
+//! them; the other sketches answer batches with the trait's item loops.
 
 use sbf_hash::{dispatch, HashFamily, IndexBuf, Key, SimdLevel, LANES, MAX_K};
 
 use crate::metrics;
 use crate::num;
-use crate::sketch::BatchRemoveError;
 use crate::store::{CounterStore, RemoveError};
 use crate::DefaultFamily;
 
@@ -22,33 +25,31 @@ use crate::DefaultFamily;
 /// flat on this workload from 4 to 16; see DESIGN.md "Hot path".
 pub const PIPELINE_DEPTH: usize = 8;
 
-/// The software-pipelined batch loop shared by every backend.
+/// The software-pipelined loop under both batch engines.
 ///
-/// Expands to a ring-buffered "hash ahead by [`PIPELINE_DEPTH`]" loop:
-/// `hash` computes a key's [`IndexBuf`], `prefetch` requests its counter
-/// cache lines, `apply` consumes the indices of the *current* item. Items are applied strictly in order — only hashing and prefetching
-/// run ahead — so batched results are bit-identical to the item-at-a-time
-/// path even for order-dependent algorithms (Minimal Increase).
+/// Expands to a ring-buffered "hash ahead by [`PIPELINE_DEPTH`]" loop over
+/// the positions `0..n`: `hash` computes the [`IndexBuf`] of the item at
+/// `pos`, `prefetch` requests its counter cache lines, `apply` consumes the
+/// indices of the *current* item. Items are applied strictly in order —
+/// only hashing and prefetching run ahead — so batched results are
+/// bit-identical to the item-at-a-time path.
 ///
 /// A macro rather than a higher-order function so that `hash`/`prefetch`
-/// (shared borrows) and `apply` (often a mutable borrow of the same
-/// sketch) expand to *sequential* statements instead of coexisting closure
-/// captures, which the borrow checker would reject. `apply` may use `?` /
-/// `return`: the loop expands inline in the calling function.
+/// (shared borrows) and `apply` (a mutable borrow of the same core, on the
+/// ingest engine) expand to *sequential* statements instead of coexisting
+/// closure captures, which the borrow checker would reject.
 macro_rules! pipelined_batch {
     (
-        $keys:expr,
-        hash = |$key:ident, $slot:ident| $hash:expr,
+        $n:expr,
+        hash = |$pos:ident, $slot:ident| $hash:expr,
         prefetch = |$pidx:ident| $pre:expr,
-        apply = |$i:ident, $idx:ident| $body:expr
+        apply = |$idx:ident| $body:expr
     ) => {{
-        let keys = $keys;
-        let len = keys.len();
-        let depth = $crate::core_ops::PIPELINE_DEPTH.min(len);
+        let len = $n;
+        let depth = PIPELINE_DEPTH.min(len);
         if depth > 0 {
-            let mut ring = [sbf_hash::IndexBuf::new(); $crate::core_ops::PIPELINE_DEPTH];
-            for (slot_no, ring_slot) in ring.iter_mut().enumerate().take(depth) {
-                let $key = &keys[slot_no];
+            let mut ring = [IndexBuf::new(); PIPELINE_DEPTH];
+            for ($pos, ring_slot) in ring.iter_mut().enumerate().take(depth) {
                 {
                     let $slot = &mut *ring_slot;
                     $hash;
@@ -58,25 +59,25 @@ macro_rules! pipelined_batch {
                     $pre;
                 }
             }
-            for $i in 0..len {
+            for i in 0..len {
                 // Borrow (not copy) the slot: `apply` consumes it before
                 // the refill below overwrites it, so the shared borrow of
                 // `ring` has ended by then.
                 {
-                    let $idx = &ring[$i % $crate::core_ops::PIPELINE_DEPTH];
+                    let $idx = &ring[i % PIPELINE_DEPTH];
                     $body;
                 }
-                if $i + depth < len {
+                let $pos = i + depth;
+                if $pos < len {
                     // Hash straight into the just-vacated slot (the `hash`
                     // stage writes the slot in place — no `IndexBuf`-sized
                     // temp copy), then prefetch from it.
-                    let $key = &keys[$i + depth];
                     {
-                        let $slot = &mut ring[$i % $crate::core_ops::PIPELINE_DEPTH];
+                        let $slot = &mut ring[i % PIPELINE_DEPTH];
                         $hash;
                     }
                     {
-                        let $pidx = &ring[$i % $crate::core_ops::PIPELINE_DEPTH];
+                        let $pidx = &ring[i % PIPELINE_DEPTH];
                         $pre;
                     }
                 }
@@ -84,25 +85,23 @@ macro_rules! pipelined_batch {
         }
     }};
 }
-pub(crate) use pipelined_batch;
 
-/// Whether the lane-pass estimate engines are worth dispatching for a
-/// batch of `n` items: a SIMD level is active and the batch covers at
-/// least one lane group.
+/// Whether the minimum engine's lane pass is worth dispatching for a batch
+/// of `n` items: a SIMD level is active and the batch covers at least one
+/// lane group.
 ///
-/// Only the *read* paths consult this. The write paths (insert/remove)
-/// deliberately stay on the scalar [`pipelined_batch!`] pipeline: they are
-/// bound by the `k` read-modify-writes per item, which no gather kernel
-/// can vectorise, so lane hashing only trades the scalar hash for a
-/// seed-major→per-item transpose. With dedup a pairwise test, lane-hashed
-/// inserts measured a median of 56–85 ns/key against 46–77 for scalar on
-/// 2026-10-17 (see DESIGN.md §4i) — no win worth a second write pipeline. The
-/// estimate paths win because the minimum over a multiset equals the
-/// minimum over its distinct values: dedup is skipped, and (where the
-/// store exposes a plain `u64` slice) the hashes feed the gathered-min
-/// kernel directly.
+/// The ingest engine deliberately stays on the scalar [`pipelined_batch!`]
+/// pipeline: it is bound by the `k` read-modify-writes per item, which no
+/// gather kernel can vectorise, so lane hashing only trades the scalar hash
+/// for a seed-major→per-item transpose. With dedup a pairwise test,
+/// lane-hashed inserts measured a median of 56–85 ns/key against 46–77 for
+/// scalar on 2026-10-17 (see DESIGN.md §4i) — no win worth a second write
+/// pipeline. The minimum engine wins because the minimum over a multiset
+/// equals the minimum over its distinct values: dedup is skipped, and
+/// (where the store exposes a plain `u64` slice) the hashes feed the
+/// gathered-min kernel directly.
 #[inline]
-pub(crate) fn lanes_worthwhile(n: usize) -> bool {
+fn lanes_worthwhile(n: usize) -> bool {
     n >= LANES && sbf_hash::simd_level() != SimdLevel::Scalar
 }
 
@@ -110,11 +109,7 @@ pub(crate) fn lanes_worthwhile(n: usize) -> bool {
 /// order, duplicates kept — enough for a minimum read, which a repeated
 /// counter cannot change.
 #[inline]
-pub(crate) fn raw_indexes_into<F: HashFamily, K: Key + ?Sized>(
-    family: &F,
-    key: &K,
-    out: &mut IndexBuf,
-) {
+fn raw_indexes_into<F: HashFamily, K: Key + ?Sized>(family: &F, key: &K, out: &mut IndexBuf) {
     out.fill(family.k(), |slots| family.indexes_into(key, slots));
 }
 
@@ -274,7 +269,7 @@ impl<F: HashFamily, S: CounterStore> SbfCore<F, S> {
     }
 
     /// [`SbfCore::key_indexes`] written into a caller-owned buffer — the
-    /// batch pipelines' ring-refill path, which avoids copying the full
+    /// ingest engine's ring-refill path, which avoids copying the full
     /// `IndexBuf` struct per item (see [`IndexBuf::fill`]).
     #[inline]
     pub fn key_indexes_into<K: Key + ?Sized>(&self, key: &K, out: &mut IndexBuf) {
@@ -293,18 +288,18 @@ impl<F: HashFamily, S: CounterStore> SbfCore<F, S> {
     /// µop it saves — the load/store queue collapses duplicate requests to
     /// a resident line for free.
     #[inline]
-    pub fn prefetch_idx(&self, idx: &IndexBuf) {
+    fn prefetch_idx(&self, idx: &IndexBuf) {
         for &i in idx.as_slice() {
             self.store.prefetch(i);
         }
     }
 
-    /// Write-intent form of [`SbfCore::prefetch_idx`], for pipelines whose
-    /// apply stage *stores* to the counters (insert/remove): the lines are
+    /// Write-intent form of [`SbfCore::prefetch_idx`], for the ingest
+    /// engine, whose apply stage *stores* to the counters: the lines are
     /// requested in exclusive state so the increments skip the
     /// read-for-ownership upgrade.
     #[inline]
-    pub fn prefetch_idx_write(&self, idx: &IndexBuf) {
+    fn prefetch_idx_write(&self, idx: &IndexBuf) {
         for &i in idx.as_slice() {
             self.store.prefetch_write(i);
         }
@@ -429,6 +424,18 @@ impl<F: HashFamily, S: CounterStore> SbfCore<F, S> {
 
     /// Adds one occurrence of every key. Bit-identical to calling
     /// [`SbfCore::increment_all`] with `by = 1` per key.
+    pub fn increment_batch<K: Key>(&mut self, keys: &[K]) {
+        self.ingest_run(keys.len(), |i| &keys[i]);
+    }
+
+    /// [`SbfCore::increment_batch`] addressed through `picks` (indices into
+    /// `keys`) — the sharded backend's per-shard ingest path.
+    pub fn increment_batch_picked<K: Key>(&mut self, keys: &[K], picks: &[u32]) {
+        self.ingest_run(picks.len(), |i| &keys[num::to_usize(picks[i])]);
+    }
+
+    /// The ingest engine: adds one occurrence of the `n` keys `key_at(0)`,
+    /// …, `key_at(n - 1)`, in that order.
     ///
     /// Pipelined with **write-intent** prefetch: increments are stores,
     /// and a read-intent hint (`PREFETCHT0`) leaves the line in shared
@@ -438,68 +445,58 @@ impl<F: HashFamily, S: CounterStore> SbfCore<F, S> {
     /// exclusive up front, and that is what makes the insert pipeline beat
     /// the single-item loop on cache-hostile (uniform) streams; see
     /// DESIGN.md "Hot path".
-    pub fn increment_batch<K: Key>(&mut self, keys: &[K]) {
+    #[inline]
+    fn ingest_run<'k, K: Key + 'k>(&mut self, n: usize, key_at: impl Fn(usize) -> &'k K) {
         pipelined_batch!(
-            keys,
-            hash = |key, slot| self.key_indexes_into(key, slot),
+            n,
+            hash = |pos, slot| self.key_indexes_into(key_at(pos), slot),
             prefetch = |idx| self.prefetch_idx_write(idx),
-            apply = |_i, idx| self.increment_idx(idx, 1)
-        );
-    }
-
-    /// [`SbfCore::increment_batch`] addressed through `picks` (indices into
-    /// `keys`) — the sharded backend's per-shard ingest path.
-    pub fn increment_batch_picked<K: Key>(&mut self, keys: &[K], picks: &[u32]) {
-        pipelined_batch!(
-            picks,
-            hash = |j, slot| self.key_indexes_into(&keys[num::to_usize(*j)], slot),
-            prefetch = |idx| self.prefetch_idx_write(idx),
-            apply = |_i, idx| self.increment_idx(idx, 1)
+            apply = |idx| self.increment_idx(idx, 1)
         );
     }
 
     /// The per-key minimum counter (the Minimum Selection estimate `m_x`)
-    /// for every key, software-pipelined and without dedup (like
-    /// [`SbfCore::min_of_key`]). `out` is cleared first; `out[i]` answers
-    /// `keys[i]`, exactly as `key_counters(keys[i]).min()` would.
+    /// for every key, without dedup (like [`SbfCore::min_of_key`]). `out`
+    /// is cleared first; `out[i]` answers `keys[i]`, exactly as
+    /// `key_counters(keys[i]).min()` would.
     pub fn min_batch_into<K: Key>(&self, keys: &[K], out: &mut Vec<u64>) {
         out.clear();
-        out.reserve(keys.len());
-        if lanes_worthwhile(keys.len()) {
-            if let Some(counters) = self.store.as_u64_slice() {
-                self.min_lanes_run(counters, keys.len(), |i| keys[i].canonical(), out);
-                return;
-            }
-        }
-        pipelined_batch!(
-            keys,
-            hash = |key, slot| raw_indexes_into(&self.family, key, slot),
-            prefetch = |idx| self.prefetch_idx(idx),
-            apply = |_i, idx| out.push(self.min_of_idx(idx))
-        );
+        self.min_run(keys.len(), |i| &keys[i], out);
     }
 
     /// [`SbfCore::min_batch_into`] addressed through `picks`, *appending*
     /// to `out` (the sharded estimate scatters per-shard answers back into
     /// request order afterwards).
     pub fn min_batch_picked_into<K: Key>(&self, keys: &[K], picks: &[u32], out: &mut Vec<u64>) {
-        out.reserve(picks.len());
-        if lanes_worthwhile(picks.len()) {
+        self.min_run(picks.len(), |i| &keys[num::to_usize(picks[i])], out);
+    }
+
+    /// The minimum engine: appends the minimum counter of each of the `n`
+    /// keys `key_at(0)`, …, `key_at(n - 1)` to `out`, in that order.
+    ///
+    /// Batches covering a lane group on a store with a plain `u64` slice
+    /// take the SIMD lane pass ([`SbfCore::min_lanes_run`]); the rest take
+    /// the scalar pipeline with read-intent prefetch. Both answer
+    /// bit-identically to per-key [`SbfCore::min_of_key`].
+    #[inline]
+    fn min_run<'k, K: Key + 'k>(
+        &self,
+        n: usize,
+        key_at: impl Fn(usize) -> &'k K,
+        out: &mut Vec<u64>,
+    ) {
+        out.reserve(n);
+        if lanes_worthwhile(n) {
             if let Some(counters) = self.store.as_u64_slice() {
-                self.min_lanes_run(
-                    counters,
-                    picks.len(),
-                    |i| keys[num::to_usize(picks[i])].canonical(),
-                    out,
-                );
+                self.min_lanes_run(counters, n, |i| key_at(i).canonical(), out);
                 return;
             }
         }
         pipelined_batch!(
-            picks,
-            hash = |j, slot| raw_indexes_into(&self.family, &keys[num::to_usize(*j)], slot),
+            n,
+            hash = |pos, slot| raw_indexes_into(&self.family, key_at(pos), slot),
             prefetch = |idx| self.prefetch_idx(idx),
-            apply = |_i, idx| out.push(self.min_of_idx(idx))
+            apply = |idx| out.push(self.min_of_idx(idx))
         );
     }
 
@@ -551,22 +548,6 @@ impl<F: HashFamily, S: CounterStore> SbfCore<F, S> {
             self.family.indexes_into(&v, &mut idx[..k]);
             out.push(idx[..k].iter().map(|&i| counters[i]).min().unwrap_or(0));
         }
-    }
-
-    /// Removes one occurrence of every key in order, software-pipelined,
-    /// stopping at the first failure (the applied prefix stays applied; the
-    /// failing key's counters are untouched — [`SbfCore::decrement_idx`] is
-    /// atomic per key).
-    pub fn decrement_batch<K: Key>(&mut self, keys: &[K]) -> Result<(), BatchRemoveError> {
-        pipelined_batch!(
-            keys,
-            hash = |key, slot| self.key_indexes_into(key, slot),
-            prefetch = |idx| self.prefetch_idx_write(idx),
-            apply = |i, idx| self
-                .decrement_idx(idx, 1)
-                .map_err(|error| BatchRemoveError { index: i, error })?
-        );
-        Ok(())
     }
 
     /// Bumps the internal multiplicity account (for algorithms that bypass
@@ -765,40 +746,36 @@ mod tests {
     #[test]
     fn batch_engine_matches_singles_across_depth_boundaries() {
         // Exercise batch lengths around PIPELINE_DEPTH: empty, shorter than
-        // the ring, exactly the ring, and several multiples past it.
+        // the ring, exactly the ring, and several multiples past it — for
+        // both engines, addressed directly and through reversed picks.
         for n in [0usize, 1, 7, 8, 9, 40] {
             let keys: Vec<u64> = (0..n as u64).map(|i| i % 11).collect();
+            let picks: Vec<u32> = (0..n as u32).rev().collect();
             let mut single = core(512, 5, 7);
             let mut batch = core(512, 5, 7);
+            let mut by_pick = core(512, 5, 7);
             for k in &keys {
                 single.increment_all(k, 1);
             }
             batch.increment_batch(&keys);
+            by_pick.increment_batch_picked(&keys, &picks);
             assert_eq!(batch.total_count(), single.total_count(), "n={n}");
-            let probes: Vec<u64> = (0..16).collect();
-            let mut got = Vec::new();
-            batch.min_batch_into(&probes, &mut got);
+            assert_eq!(by_pick.total_count(), single.total_count(), "n={n}");
+            let probes: Vec<u64> = (0..n as u64).map(|i| i % 16).collect();
             let want: Vec<u64> = probes
                 .iter()
                 .map(|p| single.key_counters(p).min())
                 .collect();
+            let mut got = Vec::new();
+            batch.min_batch_into(&probes, &mut got);
             assert_eq!(got, want, "n={n}");
-            // And the batched removal drains exactly what went in.
-            batch.decrement_batch(&keys).unwrap();
-            assert_eq!(batch.total_count(), 0, "n={n}");
+            let mut picked = vec![u64::MAX];
+            by_pick.min_batch_picked_into(&probes, &picks, &mut picked);
+            let want_picked: Vec<u64> = std::iter::once(u64::MAX)
+                .chain(picks.iter().map(|&j| want[j as usize]))
+                .collect();
+            assert_eq!(picked, want_picked, "picked n={n}");
         }
-    }
-
-    #[test]
-    fn decrement_batch_stops_at_first_failure_with_prefix_applied() {
-        let mut c = core(2048, 4, 2);
-        c.increment_all(&1u64, 2);
-        c.increment_all(&2u64, 1);
-        let err = c.decrement_batch(&[1u64, 1, 1, 2]).unwrap_err();
-        assert_eq!(err.index, 2);
-        assert!(matches!(err.error, RemoveError::Underflow { .. }));
-        assert_eq!(c.key_counters(&1u64).min(), 0, "prefix applied");
-        assert_eq!(c.key_counters(&2u64).min(), 1, "suffix untouched");
     }
 
     #[test]

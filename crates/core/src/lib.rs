@@ -95,7 +95,7 @@ pub use params::{bloom_error_rate, optimal_k, FromParams, SbfParams};
 pub use range::RangeTreeSketch;
 pub use rm::RmSbf;
 pub use sharded::{ShardMerge, ShardedSketch};
-pub use sketch::{BatchRemoveError, MultisetSketch, SketchReader};
+pub use sketch::{MultisetSketch, SketchReader};
 pub use spectrum::{frequency_histogram, profile, SpectrumProfile};
 pub use store::{CompactCounters, CompressedCounters, CounterStore, PlainCounters, RemoveError};
 pub use trap::TrappingRmSbf;

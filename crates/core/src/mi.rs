@@ -2,9 +2,8 @@
 
 use sbf_hash::{HashFamily, Key};
 
-use crate::core_ops::{pipelined_batch, SbfCore};
+use crate::core_ops::SbfCore;
 use crate::metrics;
-use crate::num;
 use crate::params::{FromParams, SbfParams};
 use crate::sketch::{MultisetSketch, SketchReader};
 use crate::store::{CounterStore, PlainCounters, RemoveError};
@@ -107,23 +106,6 @@ impl<F: HashFamily, S: CounterStore> SketchReader for MiSbf<F, S> {
         est
     }
 
-    fn estimate_batch_into<K: Key>(&self, keys: &[K], out: &mut Vec<u64>) {
-        self.core.min_batch_into(keys, out);
-        metrics::on(|m| {
-            m.estimates.add(num::to_u64(keys.len()));
-            m.estimate_values.observe_many(out);
-        });
-    }
-
-    fn estimate_batch_picked_into<K: Key>(&self, keys: &[K], picks: &[u32], out: &mut Vec<u64>) {
-        let before = out.len();
-        self.core.min_batch_picked_into(keys, picks, out);
-        metrics::on(|m| {
-            m.estimates.add(num::to_u64(picks.len()));
-            m.estimate_values.observe_many(&out[before..]);
-        });
-    }
-
     fn total_count(&self) -> u64 {
         self.core.total_count()
     }
@@ -146,36 +128,6 @@ impl<F: HashFamily, S: CounterStore> MultisetSketch for MiSbf<F, S> {
         let mx = self.core.key_counters_idx(&idx).min();
         self.core.raise_to_floor_idx(&idx, mx + count);
         self.core.add_to_total(count);
-    }
-
-    fn insert_batch<K: Key>(&mut self, keys: &[K]) {
-        metrics::on(|m| m.inserts.add(num::to_u64(keys.len())));
-        // MI's floor rule is order-dependent; the pipeline only hashes and
-        // prefetches ahead, each floor update still sees every earlier one.
-        pipelined_batch!(
-            keys,
-            hash = |key, slot| self.core.key_indexes_into(key, slot),
-            prefetch = |idx| self.core.prefetch_idx_write(idx),
-            apply = |_i, idx| {
-                let mx = self.core.key_counters_idx(idx).min();
-                self.core.raise_to_floor_idx(idx, mx + 1);
-                self.core.add_to_total(1);
-            }
-        );
-    }
-
-    fn insert_batch_picked<K: Key>(&mut self, keys: &[K], picks: &[u32]) {
-        metrics::on(|m| m.inserts.add(num::to_u64(picks.len())));
-        pipelined_batch!(
-            picks,
-            hash = |j, slot| self.core.key_indexes_into(&keys[num::to_usize(*j)], slot),
-            prefetch = |idx| self.core.prefetch_idx_write(idx),
-            apply = |_i, idx| {
-                let mx = self.core.key_counters_idx(idx).min();
-                self.core.raise_to_floor_idx(idx, mx + 1);
-                self.core.add_to_total(1);
-            }
-        );
     }
 
     fn remove_by<K: Key + ?Sized>(&mut self, key: &K, count: u64) -> Result<(), RemoveError> {

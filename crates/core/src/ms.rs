@@ -167,18 +167,6 @@ impl<F: HashFamily, S: CounterStore> MultisetSketch for MsSbf<F, S> {
         metrics::on(|m| m.removes.inc());
         self.core.decrement_all(key, count)
     }
-
-    fn remove_batch<K: Key>(&mut self, keys: &[K]) -> Result<(), crate::BatchRemoveError> {
-        let result = self.core.decrement_batch(keys);
-        // Count attempts, like the item-at-a-time loop would: every applied
-        // item plus the one that failed.
-        let attempts = match &result {
-            Ok(()) => num::to_u64(keys.len()),
-            Err(e) => num::to_u64(e.index) + 1,
-        };
-        metrics::on(|m| m.removes.add(attempts));
-        result
-    }
 }
 
 #[cfg(test)]
@@ -306,7 +294,9 @@ mod tests {
             assert_eq!(single.estimate(&k), batch.estimate(&k));
             assert_eq!(single.estimate(&k), batch.estimate_batch(&[k])[0]);
         }
-        batch.remove_batch(&keys).unwrap();
+        for k in &keys {
+            batch.remove(k).unwrap();
+        }
         assert_eq!(batch.total_count(), 0);
         for k in 0u64..13 {
             assert_eq!(batch.estimate(&k), 0);

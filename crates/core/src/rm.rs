@@ -1,13 +1,12 @@
 //! Recurring Minimum — the delete-capable accuracy booster of §3.3.
 
-use sbf_hash::{HashFamily, IndexBuf, Key};
+use sbf_hash::{HashFamily, Key};
 
 use crate::bloom::BloomFilter;
-use crate::core_ops::{pipelined_batch, KeyCounters, SbfCore};
+use crate::core_ops::SbfCore;
 use crate::metrics;
-use crate::num;
 use crate::params::{FromParams, SbfParams};
-use crate::sketch::{BatchRemoveError, MultisetSketch, SketchReader};
+use crate::sketch::{MultisetSketch, SketchReader};
 use crate::store::{CounterStore, PlainCounters, RemoveError};
 use crate::DefaultFamily;
 
@@ -151,15 +150,9 @@ impl<F: HashFamily, S: CounterStore> RmSbf<F, S> {
         self.secondary.key_counters(key).min() > 0
     }
 
+    /// The §3.3 estimate rule, before instrumentation.
     fn estimate_uninstrumented<K: Key + ?Sized>(&self, key: &K) -> u64 {
         let kc = self.primary.key_counters(key);
-        self.estimate_from_primary(key, &kc)
-    }
-
-    /// The §3.3 estimate rule, over an already-read primary [`KeyCounters`]
-    /// — the single chokepoint both the per-key and the batched estimates
-    /// go through, so they cannot diverge.
-    fn estimate_from_primary<K: Key + ?Sized>(&self, key: &K, kc: &KeyCounters) -> u64 {
         if let Some(marker) = &self.marker {
             if marker.contains(key) {
                 let s = self.secondary.key_counters(key).min();
@@ -176,58 +169,6 @@ impl<F: HashFamily, S: CounterStore> RmSbf<F, S> {
         } else {
             kc.min()
         }
-    }
-
-    /// The §3.3 insert rule over precomputed primary indices (shared by
-    /// [`MultisetSketch::insert_by`] and the pipelined batch path).
-    fn insert_prehashed<K: Key + ?Sized>(&mut self, key: &K, idx: &IndexBuf, count: u64) {
-        // "When adding an item x, increase the counters of x in the primary
-        // SBF. Then check if x has a recurring minimum. If so, continue
-        // normally."
-        self.primary.increment_idx(idx, count);
-        let kc = self.primary.key_counters_idx(idx);
-        if kc.has_recurring_min() && !self.marker.as_ref().is_some_and(|m| m.contains(key)) {
-            return;
-        }
-        // "Otherwise look for x in the secondary SBF. If found, increase
-        // its counters, otherwise add x to the secondary SBF, with an
-        // initial value that equals its minimal value from the primary."
-        // Multiplicity totals are tracked by the primary core alone; the
-        // secondary's internal total is not meaningful and never read.
-        metrics::on(|m| m.rm_secondary_spills.inc());
-        if self.in_secondary(key) && self.secondary.key_counters(key).min() > 0 {
-            self.secondary.increment_all(key, count);
-        } else {
-            let initial = kc.min();
-            self.secondary.increment_all(key, initial);
-            if let Some(marker) = &mut self.marker {
-                marker.insert(key);
-            }
-        }
-    }
-
-    /// The §3.3 delete rule over precomputed primary indices.
-    fn remove_prehashed<K: Key + ?Sized>(
-        &mut self,
-        key: &K,
-        idx: &IndexBuf,
-        count: u64,
-    ) -> Result<(), RemoveError> {
-        // "Deleting x is essentially reversing the increase operation:
-        // first decrease its counters in the primary SBF, then if it has a
-        // single minimum (or if it exists in Bf) decrease its counters in
-        // the secondary SBF, unless at least one of them is 0."
-        self.primary.decrement_idx(idx, count)?;
-        let single_min = !self.primary.key_counters_idx(idx).has_recurring_min();
-        if single_min || self.in_secondary(key) {
-            let s_min = self.secondary.key_counters(key).min();
-            if s_min >= count {
-                self.secondary
-                    .decrement_all(key, count)
-                    .unwrap_or_else(|_| unreachable!("secondary min pre-checked"));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -246,46 +187,6 @@ impl<F: HashFamily, S: CounterStore> SketchReader for RmSbf<F, S> {
             m.estimate_values.observe(est);
         });
         est
-    }
-
-    fn estimate_batch_into<K: Key>(&self, keys: &[K], out: &mut Vec<u64>) {
-        out.clear();
-        out.reserve(keys.len());
-        // Pipeline over the primary — the read every estimate performs; the
-        // secondary/marker are consulted only on the (rare) spill cases.
-        pipelined_batch!(
-            keys,
-            hash = |key, slot| self.primary.key_indexes_into(key, slot),
-            prefetch = |idx| self.primary.prefetch_idx(idx),
-            apply = |i, idx| {
-                let kc = self.primary.key_counters_idx(idx);
-                out.push(self.estimate_from_primary(&keys[i], &kc));
-            }
-        );
-        metrics::on(|m| {
-            m.estimates.add(num::to_u64(keys.len()));
-            m.estimate_values.observe_many(out);
-        });
-    }
-
-    fn estimate_batch_picked_into<K: Key>(&self, keys: &[K], picks: &[u32], out: &mut Vec<u64>) {
-        out.reserve(picks.len());
-        let before = out.len();
-        pipelined_batch!(
-            picks,
-            hash = |j, slot| self
-                .primary
-                .key_indexes_into(&keys[num::to_usize(*j)], slot),
-            prefetch = |idx| self.primary.prefetch_idx(idx),
-            apply = |i, idx| {
-                let kc = self.primary.key_counters_idx(idx);
-                out.push(self.estimate_from_primary(&keys[num::to_usize(picks[i])], &kc));
-            }
-        );
-        metrics::on(|m| {
-            m.estimates.add(num::to_u64(picks.len()));
-            m.estimate_values.observe_many(&out[before..]);
-        });
     }
 
     fn total_count(&self) -> u64 {
@@ -311,55 +212,49 @@ impl<F: HashFamily, S: CounterStore> MultisetSketch for RmSbf<F, S> {
             m.inserts.inc();
             m.rm_inserts.inc();
         });
+        // "When adding an item x, increase the counters of x in the primary
+        // SBF. Then check if x has a recurring minimum. If so, continue
+        // normally."
         let idx = self.primary.key_indexes(key);
-        self.insert_prehashed(key, &idx, count);
-    }
-
-    fn insert_batch<K: Key>(&mut self, keys: &[K]) {
-        metrics::on(|m| {
-            m.inserts.add(num::to_u64(keys.len()));
-            m.rm_inserts.add(num::to_u64(keys.len()));
-        });
-        pipelined_batch!(
-            keys,
-            hash = |key, slot| self.primary.key_indexes_into(key, slot),
-            prefetch = |idx| self.primary.prefetch_idx_write(idx),
-            apply = |i, idx| self.insert_prehashed(&keys[i], idx, 1)
-        );
-    }
-
-    fn insert_batch_picked<K: Key>(&mut self, keys: &[K], picks: &[u32]) {
-        metrics::on(|m| {
-            m.inserts.add(num::to_u64(picks.len()));
-            m.rm_inserts.add(num::to_u64(picks.len()));
-        });
-        pipelined_batch!(
-            picks,
-            hash = |j, slot| self
-                .primary
-                .key_indexes_into(&keys[num::to_usize(*j)], slot),
-            prefetch = |idx| self.primary.prefetch_idx_write(idx),
-            apply = |i, idx| self.insert_prehashed(&keys[num::to_usize(picks[i])], idx, 1)
-        );
+        self.primary.increment_idx(&idx, count);
+        let kc = self.primary.key_counters_idx(&idx);
+        if kc.has_recurring_min() && !self.marker.as_ref().is_some_and(|m| m.contains(key)) {
+            return;
+        }
+        // "Otherwise look for x in the secondary SBF. If found, increase
+        // its counters, otherwise add x to the secondary SBF, with an
+        // initial value that equals its minimal value from the primary."
+        // Multiplicity totals are tracked by the primary core alone; the
+        // secondary's internal total is not meaningful and never read.
+        metrics::on(|m| m.rm_secondary_spills.inc());
+        if self.in_secondary(key) && self.secondary.key_counters(key).min() > 0 {
+            self.secondary.increment_all(key, count);
+        } else {
+            let initial = kc.min();
+            self.secondary.increment_all(key, initial);
+            if let Some(marker) = &mut self.marker {
+                marker.insert(key);
+            }
+        }
     }
 
     fn remove_by<K: Key + ?Sized>(&mut self, key: &K, count: u64) -> Result<(), RemoveError> {
         metrics::on(|m| m.removes.inc());
+        // "Deleting x is essentially reversing the increase operation:
+        // first decrease its counters in the primary SBF, then if it has a
+        // single minimum (or if it exists in Bf) decrease its counters in
+        // the secondary SBF, unless at least one of them is 0."
         let idx = self.primary.key_indexes(key);
-        self.remove_prehashed(key, &idx, count)
-    }
-
-    fn remove_batch<K: Key>(&mut self, keys: &[K]) -> Result<(), BatchRemoveError> {
-        pipelined_batch!(
-            keys,
-            hash = |key, slot| self.primary.key_indexes_into(key, slot),
-            prefetch = |idx| self.primary.prefetch_idx_write(idx),
-            apply = |i, idx| {
-                metrics::on(|m| m.removes.inc());
-                self.remove_prehashed(&keys[i], idx, 1)
-                    .map_err(|error| BatchRemoveError { index: i, error })?;
+        self.primary.decrement_idx(&idx, count)?;
+        let single_min = !self.primary.key_counters_idx(&idx).has_recurring_min();
+        if single_min || self.in_secondary(key) {
+            let s_min = self.secondary.key_counters(key).min();
+            if s_min >= count {
+                self.secondary
+                    .decrement_all(key, count)
+                    .unwrap_or_else(|_| unreachable!("secondary min pre-checked"));
             }
-        );
+        }
         Ok(())
     }
 }

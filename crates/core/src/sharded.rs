@@ -15,6 +15,12 @@
 //! rebuilds a single filter of the whole stream: [`ShardedSketch::snapshot`]
 //! adds the shard counter vectors. Queries don't need the union — they
 //! route to the owning shard, touching one lock in read mode.
+//!
+//! A batch is partitioned once into per-shard pick lists — with one shard
+//! as with many — and each shard applies its picks through its own batch
+//! path: the pipelined engines for [`MsSbf`], the trait's item loops for
+//! the other sketches. There is no batched removal; removals lock the
+//! owning shard per key.
 
 use crate::sync::lock_unpoisoned;
 use crate::sync::{Mutex, RwLock};
@@ -27,7 +33,7 @@ use crate::ms::MsSbf;
 use crate::num;
 use crate::params::{FromParams, SbfParams};
 use crate::rm::RmSbf;
-use crate::sketch::{BatchRemoveError, MultisetSketch, SketchReader};
+use crate::sketch::{MultisetSketch, SketchReader};
 use crate::store::{CounterStore, RemoveError};
 
 /// Reusable buffers for partitioning one batch of keys across shards.
@@ -224,8 +230,9 @@ impl<SK: MultisetSketch> ShardedSketch<SK> {
 
     /// Adds a batch of keys, partitioned once so each shard's lock is taken
     /// once per batch instead of once per key, and applied through the
-    /// shard's software-pipelined batch path. Grouping also improves
-    /// locality: consecutive inserts touch one shard's counters.
+    /// shard's batch path ([`MultisetSketch::insert_batch_picked`]).
+    /// Grouping also improves locality: consecutive inserts touch one
+    /// shard's counters.
     ///
     /// Relative input order is preserved *within* each shard, and keys in
     /// different shards never share counters, so the final state equals
@@ -233,19 +240,19 @@ impl<SK: MultisetSketch> ShardedSketch<SK> {
     /// batches: the steady state allocates nothing.
     pub fn insert_batch<K: Key>(&self, keys: &[K]) {
         metrics::on(|m| m.sharded_ops.add(num::to_u64(keys.len())));
-        if self.shards.len() == 1 {
-            lock_unpoisoned(self.shards[0].write()).insert_batch(keys);
-            return;
-        }
-        self.with_partitioned(keys, |s, picks| {
-            lock_unpoisoned(self.shards[s].write()).insert_batch_picked(keys, picks);
+        self.with_partitioned(keys, |scratch| {
+            for s in 0..self.shards.len() {
+                let picks = scratch.picks(s);
+                if !picks.is_empty() {
+                    lock_unpoisoned(self.shards[s].write()).insert_batch_picked(keys, picks);
+                }
+            }
         });
     }
 
-    /// Partitions `keys` across shards (reusing the shared scratch when
-    /// uncontended) and runs `per_shard(s, picks)` for every shard with at
-    /// least one key.
-    fn with_partitioned<K: Key>(&self, keys: &[K], mut per_shard: impl FnMut(usize, &[u32])) {
+    /// Partitions `keys` across shards in the shared scratch (or a
+    /// transient one when another thread holds it), then runs `f` on it.
+    fn with_partitioned<K: Key>(&self, keys: &[K], f: impl FnOnce(&mut PartitionScratch)) {
         let mut local = PartitionScratch::default();
         let mut guard = self.scratch.try_lock().ok();
         let scratch = match guard.as_mut() {
@@ -255,49 +262,31 @@ impl<SK: MultisetSketch> ShardedSketch<SK> {
         scratch.partition(keys.len(), self.shards.len(), |i| {
             num::idx_u32(self.shard_of(&keys[i]))
         });
-        for s in 0..self.shards.len() {
-            let picks = scratch.picks(s);
-            if !picks.is_empty() {
-                per_shard(s, picks);
-            }
-        }
+        f(scratch)
     }
 
     /// Estimates every key, writing `out[i]` for `keys[i]` — results are
     /// exactly per-key [`ShardedSketch::estimate`] calls. The batch is
     /// partitioned once, each owning shard is read-locked once and queried
-    /// through its pipelined batch path, and the answers are scattered back
-    /// into input order. Steady-state allocation-free (shared scratch +
-    /// caller-reused `out`).
+    /// through its batch path ([`SketchReader::estimate_batch_picked_into`]),
+    /// and the answers are scattered back into input order. Steady-state
+    /// allocation-free (shared scratch + caller-reused `out`).
     pub fn estimate_batch_into<K: Key>(&self, keys: &[K], out: &mut Vec<u64>) {
         out.clear();
-        if self.shards.len() == 1 {
-            let shard = lock_unpoisoned(self.shards[0].read());
-            shard.estimate_batch_into(keys, out);
-            return;
-        }
-        let mut local = PartitionScratch::default();
-        let mut guard = self.scratch.try_lock().ok();
-        let scratch = match guard.as_mut() {
-            Some(g) => &mut **g,
-            None => &mut local,
-        };
-        scratch.partition(keys.len(), self.shards.len(), |i| {
-            num::idx_u32(self.shard_of(&keys[i]))
-        });
-        scratch.vals.clear();
-        for s in 0..self.shards.len() {
-            let picks = &scratch.order[scratch.counts[s]..scratch.counts[s + 1]];
-            if picks.is_empty() {
-                continue;
+        self.with_partitioned(keys, |scratch| {
+            scratch.vals.clear();
+            for s in 0..self.shards.len() {
+                let picks = &scratch.order[scratch.counts[s]..scratch.counts[s + 1]];
+                if !picks.is_empty() {
+                    let shard = lock_unpoisoned(self.shards[s].read());
+                    shard.estimate_batch_picked_into(keys, picks, &mut scratch.vals);
+                }
             }
-            let shard = lock_unpoisoned(self.shards[s].read());
-            shard.estimate_batch_picked_into(keys, picks, &mut scratch.vals);
-        }
-        out.resize(keys.len(), 0);
-        for (pos, &i) in scratch.order.iter().enumerate() {
-            out[num::to_usize(i)] = scratch.vals[pos];
-        }
+            out.resize(keys.len(), 0);
+            for (pos, &i) in scratch.order.iter().enumerate() {
+                out[num::to_usize(i)] = scratch.vals[pos];
+            }
+        });
     }
 
     /// Convenience form of [`ShardedSketch::estimate_batch_into`].
@@ -305,21 +294,6 @@ impl<SK: MultisetSketch> ShardedSketch<SK> {
         let mut out = Vec::new();
         self.estimate_batch_into(keys, &mut out);
         out
-    }
-
-    /// Removes one occurrence of every key, in input order, stopping at the
-    /// first failure (see [`BatchRemoveError`]).
-    ///
-    /// Unlike [`ShardedSketch::insert_batch`] this does **not** partition:
-    /// the stop-at-first-failure contract promises that exactly the input
-    /// prefix before the failing item is applied, and regrouping by shard
-    /// would apply a different subset. Removals therefore lock per key.
-    pub fn remove_batch<K: Key>(&self, keys: &[K]) -> Result<(), BatchRemoveError> {
-        for (index, key) in keys.iter().enumerate() {
-            self.remove(key)
-                .map_err(|error| BatchRemoveError { index, error })?;
-        }
-        Ok(())
     }
 
     /// Removes `count` occurrences of `key` from its owning shard.
@@ -351,13 +325,14 @@ impl<SK: MultisetSketch> ShardedSketch<SK> {
         lock_unpoisoned(self.shards[shard].read()).passes_threshold(key, threshold)
     }
 
-    /// Total multiplicity across all shards.
+    /// Total multiplicity across all shards, saturating at `u64::MAX` like
+    /// each shard's own total.
     ///
     /// Shards are read-locked one at a time, so the total is a consistent
     /// sum of per-shard pasts, not an instantaneous global cut — fine for
     /// monitoring, and exact once producers quiesce.
     pub fn total_count(&self) -> u64 {
-        self.shard_totals().iter().sum()
+        self.shard_totals().into_iter().fold(0, u64::saturating_add)
     }
 
     /// Per-shard multiplicity totals (for load-balance inspection).
@@ -510,6 +485,18 @@ mod tests {
             assert_eq!(batched.estimate(&key), singles.estimate(&key));
         }
         assert_eq!(batched.total_count(), 500);
+    }
+
+    #[test]
+    fn total_count_saturates_across_shards() {
+        let sketch = ShardedSketch::with_shards(4, |_| MsSbf::new(1024, 4, 1));
+        sketch.insert_by(&1u64, u64::MAX);
+        let other = (2u64..)
+            .find(|k| sketch.shard_of(k) != sketch.shard_of(&1u64))
+            .expect("a key owned by another shard");
+        sketch.insert_by(&other, 5);
+        assert_eq!(sketch.total_count(), u64::MAX);
+        assert_eq!(SketchReader::total_count(&sketch), u64::MAX);
     }
 
     #[test]

@@ -1,41 +1,17 @@
 //! The query/update abstractions shared by all SBF algorithms:
 //! [`SketchReader`] for shared-reference queries, [`MultisetSketch`] for
 //! the full update contract — both in single-item and batched form.
+//!
+//! The batched methods default to item-at-a-time loops. Only
+//! [`crate::MsSbf`] overrides them with the pipelined engines of
+//! [`crate::SbfCore`], and [`crate::ShardedSketch`] partitions a batch
+//! across its shards before handing each shard its picks; every other
+//! sketch answers a batch key by key, with the same results.
 
 use sbf_hash::Key;
 
 use crate::num;
 use crate::store::RemoveError;
-
-/// A removal inside a batch failed.
-///
-/// Batched removals apply items in order and stop at the first failure:
-/// items before [`BatchRemoveError::index`] are fully applied, the failing
-/// item and everything after it are untouched — exactly the state an
-/// item-at-a-time loop that `?`s on the first error would leave behind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchRemoveError {
-    /// Position (within the batch) of the key whose removal failed.
-    pub index: usize,
-    /// Why that removal failed.
-    pub error: RemoveError,
-}
-
-impl std::fmt::Display for BatchRemoveError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "batch removal failed at item {}: {}",
-            self.index, self.error
-        )
-    }
-}
-
-impl std::error::Error for BatchRemoveError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.error)
-    }
-}
 
 /// Read-only multiplicity queries by `&self`.
 ///
@@ -53,10 +29,11 @@ impl std::error::Error for BatchRemoveError {
 /// # Batched queries
 ///
 /// [`SketchReader::estimate_batch_into`] answers many keys in one call and
-/// returns **bit-identical** results to per-key [`SketchReader::estimate`]
-/// — backends override it only to go faster (software-pipelined hashing
-/// with counter prefetch, one lock acquisition per shard), never to change
-/// answers.
+/// returns **bit-identical** results to per-key [`SketchReader::estimate`].
+/// Two backends override it, only to go faster, never to change answers:
+/// [`crate::MsSbf`] (software-pipelined hashing with counter prefetch, or
+/// the SIMD lane pass) and [`crate::ShardedSketch`] (one lock acquisition
+/// per shard). Every other sketch answers with the per-key loop.
 pub trait SketchReader {
     /// Estimates the multiplicity `f̂_key`.
     fn estimate<K: Key + ?Sized>(&self, key: &K) -> u64;
@@ -140,12 +117,12 @@ pub trait SketchReader {
 ///
 /// # Batched updates
 ///
-/// [`MultisetSketch::insert_batch`] and [`MultisetSketch::remove_batch`]
-/// apply the items **in order** and leave the sketch in exactly the state
-/// the item-at-a-time loop would (removals stop at the first failure, see
-/// [`BatchRemoveError`]). Backends override them for throughput only:
-/// hashing item `i+D` and prefetching its counter lines while item `i` is
-/// applied hides the cache-miss latency that dominates at production `m`.
+/// [`MultisetSketch::insert_batch`] applies the items **in order** and
+/// leaves the sketch in exactly the state the item-at-a-time loop would.
+/// [`crate::MsSbf`] is the one sketch that overrides it, for throughput
+/// only: hashing item `i+D` and prefetching its counter lines while item
+/// `i` is applied hides the cache-miss latency that dominates at
+/// production `m`. There is no batched removal; remove key by key.
 pub trait MultisetSketch: SketchReader {
     /// Adds `count` occurrences of `key`.
     fn insert_by<K: Key + ?Sized>(&mut self, key: &K, count: u64);
@@ -181,17 +158,6 @@ pub trait MultisetSketch: SketchReader {
     fn remove<K: Key + ?Sized>(&mut self, key: &K) -> Result<(), RemoveError> {
         self.remove_by(key, 1)
     }
-
-    /// Removes one occurrence of every key in `keys`, in order, stopping at
-    /// the first failure (the applied prefix stays applied — the same state
-    /// an item-at-a-time loop returning on first error leaves).
-    fn remove_batch<K: Key>(&mut self, keys: &[K]) -> Result<(), BatchRemoveError> {
-        for (index, key) in keys.iter().enumerate() {
-            self.remove(key)
-                .map_err(|error| BatchRemoveError { index, error })?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -215,28 +181,5 @@ mod tests {
         let probes: Vec<u64> = (0..60).collect();
         assert_eq!(a.estimate_batch(&probes), b.estimate_batch(&probes));
         assert_eq!(a.total_count(), b.total_count());
-    }
-
-    #[test]
-    fn remove_batch_stops_at_first_failure() {
-        let mut sbf = MsSbf::new(2048, 4, 2);
-        sbf.insert_by(&1u64, 2);
-        sbf.insert_by(&2u64, 1);
-        // 1, 1 succeed; the third removal of 1 underflows; 2 is never touched.
-        let err = sbf.remove_batch(&[1u64, 1, 1, 2]).unwrap_err();
-        assert_eq!(err.index, 2);
-        assert!(matches!(err.error, RemoveError::Underflow { .. }));
-        assert_eq!(sbf.estimate(&1u64), 0);
-        assert_eq!(sbf.estimate(&2u64), 1, "items after the failure stay");
-    }
-
-    #[test]
-    fn batch_remove_error_displays_and_sources() {
-        let e = BatchRemoveError {
-            index: 3,
-            error: RemoveError::Unsupported,
-        };
-        assert!(e.to_string().contains("item 3"));
-        assert!(std::error::Error::source(&e).is_some());
     }
 }

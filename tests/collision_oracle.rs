@@ -135,15 +135,19 @@ fn core_write_paths_match_the_set_reference() {
             "increment_batch_picked m={m} k={k}"
         );
 
-        // decrement_batch of the first half leaves the second half's mass.
+        // Draining the first half key by key leaves the second half's mass.
         let half = keys.len() / 2;
-        batch.decrement_batch(&keys[..half]).unwrap();
+        for key in &keys[..half] {
+            batch.decrement_all(key, 1).unwrap();
+        }
         assert_eq!(
             counters(&batch),
             ms_reference(&f, &keys[half..]),
-            "decrement_batch m={m} k={k}"
+            "decrement_all m={m} k={k}"
         );
-        batch.decrement_batch(&keys[half..]).unwrap();
+        for key in &keys[half..] {
+            batch.decrement_all(key, 1).unwrap();
+        }
         assert!(counters(&batch).iter().all(|&c| c == 0), "m={m} k={k}");
         assert_eq!(batch.total_count(), 0);
     }
@@ -250,7 +254,9 @@ fn sharded_inserts_match_the_set_reference() {
         let singles: Vec<u64> = probes.iter().map(|p| sharded.estimate(p)).collect();
         assert_eq!(sharded.estimate_batch(&probes), singles, "m={m} k={k}");
 
-        sharded.remove_batch(&keys).unwrap();
+        for key in &keys {
+            sharded.remove(key).unwrap();
+        }
         for shard in 0..sharded.num_shards() {
             let got = sharded.with_shard_read(shard, |s| counters(s.core()));
             assert!(got.iter().all(|&c| c == 0), "shard {shard} m={m} k={k}");
@@ -270,7 +276,7 @@ fn removal_drains_a_colliding_key_to_zero() {
         ms.insert_by(&key, 3);
         ms.remove_by(&key, 2).unwrap();
         assert_eq!(ms.estimate(&key), 1, "m={m} k={k}");
-        ms.remove_batch(&[key]).unwrap();
+        ms.remove(&key).unwrap();
         assert!(counters(ms.core()).iter().all(|&c| c == 0), "m={m} k={k}");
 
         let mut rm: RmSbf<MixFamily> =
@@ -311,8 +317,11 @@ fn an_underflow_leaves_every_counter_unchanged() {
         let before = counters(ms.core());
         assert!(ms.remove_by(&key, 3).is_err(), "m={m} k={k}");
         assert_eq!(counters(ms.core()), before, "remove_by m={m} k={k}");
-        let err = ms.remove_batch(&[key, key, key]).unwrap_err();
-        assert_eq!(err.index, 2, "m={m} k={k}");
+        // Key by key, the third removal of two occurrences is the one
+        // that fails, and it leaves the drained counters at zero.
+        ms.remove(&key).unwrap();
+        ms.remove(&key).unwrap();
+        assert!(ms.remove(&key).is_err(), "m={m} k={k}");
         assert!(counters(ms.core()).iter().all(|&c| c == 0), "m={m} k={k}");
     }
 }
