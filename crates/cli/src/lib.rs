@@ -220,12 +220,12 @@ pub fn build_filter(opts: &BuildOpts, input: impl BufRead) -> Result<FilterEnvel
 }
 
 /// Rehydrates a queryable MS filter from an envelope (all kinds query the
-/// same way: minimum over the key's counters), adopting a copy of its
-/// counters as the store. The envelope must hold `m ≥ 1` counters and
+/// same way: minimum over the key's counters), narrowing its counters into
+/// the store. The envelope must hold `m ≥ 1` counters and
 /// `1 ≤ k ≤ MAX_K`, as every filter the CLI reads or builds does.
-pub fn rehydrate(env: &FilterEnvelope) -> MsSbf {
+pub fn rehydrate(env: FilterEnvelope) -> MsSbf {
     let family = DefaultFamily::new(env.counters.len(), env.k as usize, env.seed);
-    MsSbf::with_parts(family, PlainCounters::from(env.counters.clone()))
+    MsSbf::with_parts(family, PlainCounters::from(env.counters))
 }
 
 /// Reads and decodes the filter file at `path`, refusing a geometry no
@@ -247,7 +247,7 @@ fn read_filter(path: &str) -> Result<FilterEnvelope, CliError> {
 /// Runs `query`: prints `key<TAB>estimate` for every input key whose
 /// estimate reaches `threshold` (0 = print all).
 pub fn run_query(
-    env: &FilterEnvelope,
+    env: FilterEnvelope,
     threshold: u64,
     input: impl BufRead,
     mut output: impl Write,
@@ -276,11 +276,11 @@ pub fn run_query(
 /// rehydrated as one shard and the result is the shard union of
 /// [`ShardedSketch::snapshot`] — the same §5 counter-addition path the
 /// concurrent ingest machinery uses, with per-input occupancy gauges
-/// published when telemetry is on. A counter that would overflow
-/// saturates at `u64::MAX` (each clamp counted in
+/// published when telemetry is on. A counter that would reach
+/// `u32::MAX` sticks and reads `u64::MAX` (each clamp counted in
 /// `sbf_counter_saturations_total`) instead of failing the merge;
 /// saturation preserves the one-sided estimate contract.
-pub fn merge_envelopes(envelopes: &[FilterEnvelope]) -> Result<FilterEnvelope, CliError> {
+pub fn merge_envelopes(envelopes: Vec<FilterEnvelope>) -> Result<FilterEnvelope, CliError> {
     let first = envelopes
         .first()
         .ok_or_else(|| CliError::Usage("merge needs at least one input".into()))?;
@@ -295,22 +295,22 @@ pub fn merge_envelopes(envelopes: &[FilterEnvelope]) -> Result<FilterEnvelope, C
             ));
         }
     }
-    let sharded = ShardedSketch::from_shards(envelopes.iter().map(rehydrate).collect());
+    let (kind, k, seed) = (first.kind, first.k, first.seed);
+    let sharded = ShardedSketch::from_shards(envelopes.into_iter().map(rehydrate).collect());
     sharded.publish_metrics();
     let merged = sharded.snapshot();
     Ok(FilterEnvelope {
-        kind: first.kind,
-        k: first.k,
-        seed: first.seed,
-        counters: (0..first.counters.len())
-            .map(|i| merged.core().store().get(i))
-            .collect(),
+        kind,
+        k,
+        seed,
+        counters: merged.core().store().values().collect(),
     })
 }
 
 /// Renders `info` for an envelope, including what the counter vector
-/// would cost per counter in each storage layout: `raw` `u64` words, the
-/// §4 String-Array Index and the §4.5 Elias-δ compact array.
+/// would cost per counter in each storage layout: `raw`, the plain store
+/// sbfd serves ([`PlainCounters`]), the §4 String-Array Index and the §4.5
+/// Elias-δ compact array.
 pub fn info_string(env: &FilterEnvelope) -> String {
     let m = env.counters.len();
     let nonzero = env.counters.iter().filter(|&&c| c > 0).count();
@@ -333,7 +333,7 @@ pub fn info_string(env: &FilterEnvelope) -> String {
         env.seed,
         100.0 * nonzero as f64 / m.max(1) as f64,
         total / u64::from(env.k.max(1)),
-        8.0,
+        bits_per_counter(PlainCounters::with_len(m).storage_bits()),
         bits_per_counter(sai.size_breakdown().total_bits()),
         bits_per_counter(elias.total_bits()),
     )
@@ -405,24 +405,21 @@ fn dispatch(
             let opts = parse_build(args)?;
             let env = build_filter(&opts, stdin)?;
             std::fs::write(&opts.out, env.encode())?;
+            let m = env.counters.len();
             if sbf_telemetry::enabled() {
                 // Publish the finished filter's load as shard 0 so a
                 // `--metrics` dump always carries occupancy gauges, whatever
                 // ingest path built it.
-                ShardedSketch::from_shards(vec![rehydrate(&env)]).publish_metrics();
+                ShardedSketch::from_shards(vec![rehydrate(env)]).publish_metrics();
             }
-            Ok(format!(
-                "wrote {} ({} counters)",
-                opts.out,
-                env.counters.len()
-            ))
+            Ok(format!("wrote {} ({m} counters)", opts.out))
         }
         "query" => {
             let mut args = args;
             let filter = take_flag(&mut args, "--filter")
                 .ok_or_else(|| CliError::Usage("query requires --filter <path>".into()))?;
             let threshold = num(&mut args, "--threshold", 0)?;
-            let n = run_query(&read_filter(&filter)?, threshold, stdin, stdout)?;
+            let n = run_query(read_filter(&filter)?, threshold, stdin, stdout)?;
             Ok(format!("{n} keys reported"))
         }
         "merge" => {
@@ -436,9 +433,10 @@ fn dispatch(
                 .iter()
                 .map(|path| read_filter(path))
                 .collect::<Result<Vec<_>, _>>()?;
-            let merged = merge_envelopes(&envelopes)?;
+            let n = envelopes.len();
+            let merged = merge_envelopes(envelopes)?;
             std::fs::write(&out, merged.encode())?;
-            Ok(format!("merged {} filters into {out}", envelopes.len()))
+            Ok(format!("merged {n} filters into {out}"))
         }
         "info" => {
             let path = args
@@ -977,7 +975,7 @@ mod tests {
         let keys = "apple\napple\nbanana\n\napple\n";
         let env = build_filter(&opts(FilterKind::MinimumSelection), Cursor::new(keys)).unwrap();
         let mut out = Vec::new();
-        let n = run_query(&env, 2, Cursor::new("apple\nbanana\ncherry\n"), &mut out).unwrap();
+        let n = run_query(env, 2, Cursor::new("apple\nbanana\ncherry\n"), &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert_eq!(n, 1);
         assert!(text.contains("apple\t3"), "got: {text}");
@@ -988,7 +986,7 @@ mod tests {
     fn mi_build_counts_too() {
         let env =
             build_filter(&opts(FilterKind::MinimalIncrease), Cursor::new("x\nx\nx\n")).unwrap();
-        let sbf = rehydrate(&env);
+        let sbf = rehydrate(env);
         assert_eq!(sbf.estimate(&"x"), 3);
     }
 
@@ -996,8 +994,8 @@ mod tests {
     fn merge_requires_compatibility() {
         let a = build_filter(&opts(FilterKind::MinimumSelection), Cursor::new("p\n")).unwrap();
         let b = build_filter(&opts(FilterKind::MinimumSelection), Cursor::new("q\nq\n")).unwrap();
-        let merged = merge_envelopes(&[a.clone(), b]).unwrap();
-        let sbf = rehydrate(&merged);
+        let merged = merge_envelopes(vec![a.clone(), b]).unwrap();
+        let sbf = rehydrate(merged);
         assert!(sbf.estimate(&"p") >= 1);
         assert_eq!(sbf.estimate(&"q"), 2);
 
@@ -1005,7 +1003,7 @@ mod tests {
         alien.seed ^= 1;
         let b2 = build_filter(&opts(FilterKind::MinimumSelection), Cursor::new("q\n")).unwrap();
         assert!(matches!(
-            merge_envelopes(&[alien, b2]),
+            merge_envelopes(vec![alien, b2]),
             Err(CliError::Incompatible(_))
         ));
     }
@@ -1019,12 +1017,12 @@ mod tests {
         assert!(info.contains("≈ 2 insertions"));
         // The storage line names every counter layout with its
         // per-counter cost; on a nearly-empty filter the compressed forms
-        // must undercut raw's 8 bytes.
+        // must undercut raw's 4 bytes (one sticky `u32` per counter).
         let line = info
             .lines()
             .find(|l| l.starts_with("bytes/counter:"))
             .expect("info must report bytes/counter");
-        assert!(line.contains("raw 8.000"), "{line}");
+        assert!(line.contains("raw 4.000"), "{line}");
         for enc in ["sai", "elias"] {
             let cost: f64 = line
                 .split(&format!("{enc} "))
@@ -1034,7 +1032,7 @@ mod tests {
                 .trim()
                 .parse()
                 .unwrap();
-            assert!(cost < 8.0, "{enc} should compress a sparse filter: {line}");
+            assert!(cost < 4.0, "{enc} should compress a sparse filter: {line}");
         }
         // A saturated counter pins the mass at u64::MAX instead of wrapping.
         let saturated = FilterEnvelope {
@@ -1058,7 +1056,7 @@ mod tests {
         for c in &mut b.counters {
             *c = u64::MAX - 1;
         }
-        let merged = merge_envelopes(&[a.clone(), b]).unwrap();
+        let merged = merge_envelopes(vec![a, b]).unwrap();
         assert!(merged.counters.iter().all(|&c| c >= u64::MAX - 1));
     }
 

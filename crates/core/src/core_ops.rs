@@ -98,7 +98,7 @@ macro_rules! pipelined_batch {
 /// scalar on 2026-10-17 (see DESIGN.md §4i) — no win worth a second write
 /// pipeline. The minimum engine wins because the minimum over a multiset
 /// equals the minimum over its distinct values: dedup is skipped, and
-/// (where the store exposes a plain `u64` slice) the hashes feed the
+/// (where the store exposes a plain `u32` slice) the hashes feed the
 /// gathered-min kernel directly.
 #[inline]
 fn lanes_worthwhile(n: usize) -> bool {
@@ -474,7 +474,7 @@ impl<F: HashFamily, S: CounterStore> SbfCore<F, S> {
     /// The minimum engine: appends the minimum counter of each of the `n`
     /// keys `key_at(0)`, …, `key_at(n - 1)` to `out`, in that order.
     ///
-    /// Batches covering a lane group on a store with a plain `u64` slice
+    /// Batches covering a lane group on a store with a plain `u32` slice
     /// take the SIMD lane pass ([`SbfCore::min_lanes_run`]); the rest take
     /// the scalar pipeline with read-intent prefetch. Both answer
     /// bit-identically to per-key [`SbfCore::min_of_key`].
@@ -487,7 +487,7 @@ impl<F: HashFamily, S: CounterStore> SbfCore<F, S> {
     ) {
         out.reserve(n);
         if lanes_worthwhile(n) {
-            if let Some(counters) = self.store.as_u64_slice() {
+            if let Some(counters) = self.store.as_u32_slice() {
                 self.min_lanes_run(counters, n, |i| key_at(i).canonical(), out);
                 return;
             }
@@ -509,7 +509,7 @@ impl<F: HashFamily, S: CounterStore> SbfCore<F, S> {
     /// [`PIPELINE_DEPTH`] items in flight.
     fn min_lanes_run(
         &self,
-        counters: &[u64],
+        counters: &[u32],
         n: usize,
         canon: impl Fn(usize) -> u64,
         out: &mut Vec<u64>,
@@ -546,7 +546,8 @@ impl<F: HashFamily, S: CounterStore> SbfCore<F, S> {
             let v = canon(j);
             let mut idx = [0usize; MAX_K];
             self.family.indexes_into(&v, &mut idx[..k]);
-            out.push(idx[..k].iter().map(|&i| counters[i]).min().unwrap_or(0));
+            let min = idx[..k].iter().map(|&i| counters[i]).min().unwrap_or(0);
+            out.push(dispatch::widen_counter(min));
         }
     }
 
@@ -595,8 +596,10 @@ impl<F: HashFamily, S: CounterStore> SbfCore<F, S> {
     ///
     /// A product past `u64::MAX` saturates there, like
     /// [`CounterStore::increment`], and each clamp counts in
-    /// `sbf_counter_saturations_total`; a saturated product is still an
-    /// upper bound on the joined frequency.
+    /// `sbf_counter_saturations_total`; the store's `set` then applies its
+    /// own ceiling (a [`crate::PlainCounters`] product of `u32::MAX` or more
+    /// sticks). A saturated product is still an upper bound on the joined
+    /// frequency.
     pub fn multiply_assign<S2: CounterStore>(&mut self, other: &SbfCore<F, S2>)
     where
         F: PartialEq,

@@ -23,7 +23,8 @@
 //! [`SketchReader`] query supertrait — which the concurrent
 //! [`ShardedSketch`] also implements —
 //! and are generic over the hash family (`sbf-hash`) and over the counter
-//! storage: [`PlainCounters`] (one word per counter, fastest) or
+//! storage: [`PlainCounters`] (one 32-bit word per counter, sticky at
+//! `u32::MAX`; fastest) or
 //! [`CompressedCounters`] (the §4 String-Array-Index representation at
 //! `N + o(N) + O(m)` bits).
 //!

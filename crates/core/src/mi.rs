@@ -126,7 +126,9 @@ impl<F: HashFamily, S: CounterStore> MultisetSketch for MiSbf<F, S> {
         // other counter to the maximum of its old value and m_x + r".
         let idx = self.core.key_indexes(key);
         let mx = self.core.key_counters_idx(&idx).min();
-        self.core.raise_to_floor_idx(&idx, mx + count);
+        // Saturating: a stuck counter reads `u64::MAX`, and the floor
+        // above it must pin there, not wrap.
+        self.core.raise_to_floor_idx(&idx, mx.saturating_add(count));
         self.core.add_to_total(count);
     }
 
@@ -144,6 +146,14 @@ impl<F: HashFamily, S: CounterStore> MultisetSketch for MiSbf<F, S> {
 mod tests {
     use super::*;
     use crate::ms::MsSbf;
+
+    #[test]
+    fn insert_over_a_saturated_minimum_pins_at_max() {
+        let mut mi = MiSbf::new(64, 3, 1);
+        mi.insert_by(&1u64, u64::MAX);
+        mi.insert(&1u64);
+        assert_eq!(mi.estimate(&1u64), u64::MAX);
+    }
 
     #[test]
     fn one_sided_without_deletions() {

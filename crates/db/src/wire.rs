@@ -10,7 +10,7 @@
 
 use crate::framing::{EncodeError, WireEncode};
 use sbf_bitvec::{BitSource, ByteReader, ByteWriter};
-use sbf_encoding::{Codec, EliasDelta};
+use sbf_encoding::{Codec, DecodeSink, EliasDelta};
 
 /// Encodes a counter vector into a framed byte message.
 pub fn encode_counters(counters: impl ExactSizeIterator<Item = u64>) -> Vec<u8> {
@@ -118,6 +118,15 @@ pub fn decode_counters(frame: &[u8]) -> Result<Vec<u64>, WireError> {
 /// Never panics on malformed input, and never allocates more than
 /// `O(max_counters)` (fuzzed in `tests/wire_adversarial.rs`).
 pub fn decode_counters_capped(frame: &[u8], max_counters: usize) -> Result<Vec<u64>, WireError> {
+    decode_counters_capped_as(frame, max_counters)
+}
+
+/// [`decode_counters_capped`], decoding the counters into any
+/// [`DecodeSink`]. Same checks, failures and allocation bound.
+fn decode_counters_capped_as<C: DecodeSink + Default>(
+    frame: &[u8],
+    max_counters: usize,
+) -> Result<C, WireError> {
     if frame.len() < 16 {
         return Err(WireError::Truncated);
     }
@@ -144,7 +153,8 @@ pub fn decode_counters_capped(frame: &[u8], max_counters: usize) -> Result<Vec<u
         return Err(WireError::BadCodeword);
     }
     let mut reader = ByteReader::new(payload, bit_len);
-    let mut out = Vec::with_capacity(m);
+    let mut out = C::default();
+    out.reserve(m);
     EliasDelta
         .decode_into(&mut reader, m, &mut out)
         .ok_or(WireError::BadCodeword)?;
@@ -205,8 +215,11 @@ impl FilterKind {
 /// the receiving site can reconstruct a compatible filter (same `m`, `k`,
 /// `seed` — the union/multiply precondition) without out-of-band
 /// agreement.
+///
+/// The counters are a `Vec<u64>` unless a decoder put them into another
+/// [`DecodeSink`] ([`FilterEnvelope::decode_capped_as`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FilterEnvelope {
+pub struct FilterEnvelope<C = Vec<u64>> {
     /// Which algorithm produced the counters.
     pub kind: FilterKind,
     /// Number of hash functions.
@@ -214,7 +227,7 @@ pub struct FilterEnvelope {
     /// Hash seed both sites must share.
     pub seed: u64,
     /// The counter vector (length `m`).
-    pub counters: Vec<u64>,
+    pub counters: C,
 }
 
 /// Serializes a [`FilterEnvelope`] from borrowed parts — the same bytes as
@@ -284,6 +297,15 @@ impl FilterEnvelope {
     /// Like [`FilterEnvelope::decode`], but with a caller-supplied cap on
     /// the decoded counter count (see [`decode_counters_capped`]).
     pub fn decode_capped(frame: &[u8], max_counters: usize) -> Result<Self, WireError> {
+        Self::decode_capped_as(frame, max_counters)
+    }
+}
+
+impl<C: DecodeSink + Default> FilterEnvelope<C> {
+    /// [`FilterEnvelope::decode_capped`], decoding the counters straight
+    /// into `C`, so a store that keeps its counters narrower than `u64`
+    /// fills from the frame without a `u64` copy of it.
+    pub fn decode_capped_as(frame: &[u8], max_counters: usize) -> Result<Self, WireError> {
         if frame.len() < 18 {
             return Err(WireError::Truncated);
         }
@@ -297,7 +319,7 @@ impl FilterEnvelope {
         let kind = FilterKind::from_byte(frame[5]).ok_or(WireError::BadCodeword)?;
         let k = le_u32(&frame[6..10]);
         let seed = le_u64(&frame[10..18]);
-        let counters = decode_counters_capped(&frame[18..], max_counters)?;
+        let counters = decode_counters_capped_as(&frame[18..], max_counters)?;
         Ok(FilterEnvelope {
             kind,
             k,

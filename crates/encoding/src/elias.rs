@@ -179,11 +179,11 @@ impl EliasDelta {
     /// peeked word: a codeword that ends inside the current word costs no
     /// new read. Same results and failures as `count` calls of
     /// [`EliasDelta::decode_from`].
-    pub fn decode_into<R: BitSource>(
+    pub fn decode_into<R: BitSource, S: DecodeSink>(
         &self,
         r: &mut R,
         count: usize,
-        out: &mut Vec<u64>,
+        out: &mut S,
     ) -> Option<()> {
         // `word` holds the next `avail` bits from its top bit down; `used`
         // bits before them are decoded but not yet consumed from `r`.
@@ -205,6 +205,29 @@ impl EliasDelta {
         }
         r.consume(used);
         Some(())
+    }
+}
+
+/// Where [`EliasDelta::decode_into`] puts the values it decodes, in stream
+/// order. A `Vec<u64>` keeps them as they are; a counter store that keeps
+/// its counters narrower can take them without a `u64` copy of the stream.
+pub trait DecodeSink {
+    /// Makes room for `additional` more values.
+    fn reserve(&mut self, additional: usize);
+
+    /// Appends the next value.
+    fn push(&mut self, value: u64);
+}
+
+impl DecodeSink for Vec<u64> {
+    #[inline]
+    fn reserve(&mut self, additional: usize) {
+        Vec::reserve(self, additional);
+    }
+
+    #[inline]
+    fn push(&mut self, value: u64) {
+        Vec::push(self, value);
     }
 }
 

@@ -32,7 +32,7 @@ pub mod elias;
 pub mod steps;
 
 pub use codec::Codec;
-pub use elias::{EliasDelta, EliasGamma};
+pub use elias::{DecodeSink, EliasDelta, EliasGamma};
 pub use steps::StepsCode;
 
 /// Number of bits in the minimal binary representation of `v` (`bitlen(0) = 0`).

@@ -190,10 +190,22 @@ pub fn mix_reduce_lanes_scalar(vs: [u64; LANES], seed: u64, range: u64) -> [usiz
     out
 }
 
+/// A 32-bit counter word read as `u64`: `u32::MAX` marks a counter stuck
+/// at saturation (the plain counter store's sticky rule) and reads
+/// `u64::MAX`; every other word reads as itself.
+#[inline]
+pub fn widen_counter(c: u32) -> u64 {
+    if c == u32::MAX {
+        u64::MAX
+    } else {
+        u64::from(c)
+    }
+}
+
 /// Scalar reference for [`min_gather_lanes`]: per-lane min over the
-/// seed-major index block.
-pub fn min_gather_lanes_scalar(counters: &[u64], idx: &[usize], k: usize) -> [u64; LANES] {
-    let mut mins = [u64::MAX; LANES];
+/// seed-major index block, widened by [`widen_counter`].
+pub fn min_gather_lanes_scalar(counters: &[u32], idx: &[usize], k: usize) -> [u64; LANES] {
+    let mut mins = [u32::MAX; LANES];
     for i in 0..k {
         for (lane, min) in mins.iter_mut().enumerate() {
             let v = counters[idx[i * LANES + lane]];
@@ -202,7 +214,7 @@ pub fn min_gather_lanes_scalar(counters: &[u64], idx: &[usize], k: usize) -> [u6
             }
         }
     }
-    mins
+    mins.map(widen_counter)
 }
 
 // ---------------------------------------------------------------------------
@@ -281,8 +293,10 @@ pub fn gather_available() -> bool {
         && simd_level() == SimdLevel::Avx2
 }
 
-/// Per-lane min-of-k over a seed-major index block: `result[lane] =
-/// min over i < k of counters[idx[i * LANES + lane]]`.
+/// Per-lane min-of-k over a seed-major index block of 32-bit counter
+/// words: `result[lane] = widen_counter(min over i < k of
+/// counters[idx[i * LANES + lane]])`, so a lane whose minimum is stuck at
+/// `u32::MAX` reads `u64::MAX`.
 ///
 /// `idx` must hold at least `k * LANES` entries; `k` must be ≥ 1. Indices
 /// are expected in `{0..counters.len()-1}` (the hash-family contract); the
@@ -290,7 +304,7 @@ pub fn gather_available() -> bool {
 /// (impossible for family-produced blocks, but this is a safe public API)
 /// falls back to the scalar loop and its bounds-checked panic semantics.
 #[inline]
-pub fn min_gather_lanes(counters: &[u64], idx: &[usize], k: usize) -> [u64; LANES] {
+pub fn min_gather_lanes(counters: &[u32], idx: &[usize], k: usize) -> [u64; LANES] {
     debug_assert!(k >= 1 && idx.len() >= k * LANES);
     #[cfg(all(target_arch = "x86_64", target_pointer_width = "64"))]
     if simd_level() == SimdLevel::Avx2 {
@@ -412,31 +426,34 @@ mod x86 {
         out
     }
 
-    /// Gathered per-lane min-of-k. Caller promises AVX2 and that every
-    /// index in `idx[..k*LANES]` is `< counters.len()`.
+    /// Gathered per-lane min-of-k over 32-bit words, widened to `u64`.
+    /// Caller promises AVX2 and that every index in `idx[..k*LANES]` is
+    /// `< counters.len()`.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn min_gather_lanes_avx2(
-        counters: &[u64],
+        counters: &[u32],
         idx: &[usize],
         k: usize,
     ) -> [u64; LANES] {
-        // Unsigned 64-bit compares via sign-bias: x <u y ⇔ (x^MIN) <s (y^MIN).
-        let bias = _mm256_set1_epi64x(i64::MIN);
-        let mut min = _mm256_set1_epi64x(-1); // u64::MAX per lane
-        let base = counters.as_ptr().cast::<i64>();
+        let ones = _mm_set1_epi32(-1); // u32::MAX per lane
+        let mut min = ones;
+        let base = counters.as_ptr().cast::<i32>();
         for i in 0..k {
             // SAFETY: `idx` holds ≥ k*LANES usize (u64 here) — in-bounds
             // unaligned load; every gathered element address is
-            // `base + idx[..] * 8` with idx < counters.len() (caller
+            // `base + idx[..] * 4` with idx < counters.len() (caller
             // contract), so the gather reads inside the slice.
             let vidx = _mm256_loadu_si256(idx.as_ptr().add(i * LANES).cast());
-            let vals = _mm256_i64gather_epi64::<8>(base, vidx);
-            let gt = _mm256_cmpgt_epi64(_mm256_xor_si256(min, bias), _mm256_xor_si256(vals, bias));
-            min = _mm256_blendv_epi8(min, vals, gt);
+            let vals = _mm256_i64gather_epi32::<4>(base, vidx);
+            min = _mm_min_epu32(min, vals);
         }
+        // Zero-extend each lane, then OR in the sign-extended all-ones mask
+        // of the stuck lanes, which widens a stuck `u32::MAX` to `u64::MAX`.
+        let stuck = _mm256_cvtepi32_epi64(_mm_cmpeq_epi32(min, ones));
+        let wide = _mm256_or_si256(_mm256_cvtepu32_epi64(min), stuck);
         let mut out = [0u64; LANES];
         // SAFETY: `out` is 4 u64s — exactly one __m256i, unaligned store.
-        _mm256_storeu_si256(out.as_mut_ptr().cast(), min);
+        _mm256_storeu_si256(out.as_mut_ptr().cast(), wide);
         out
     }
 
@@ -661,13 +678,46 @@ mod tests {
     fn min_gather_matches_scalar_at_every_level() {
         let _g = test_level_lock();
         let mut rng = SplitMix64::new(3);
-        let counters: Vec<u64> = (0..1024).map(|_| rng.next_u64()).collect();
+        // Random words, with stuck counters at 0..4 and words just below
+        // `u32::MAX` and around the sign bit at 4..8.
+        let mut counters: Vec<u32> = (0..1024).map(|_| rng.next_u64() as u32).collect();
+        counters[..8].copy_from_slice(&[
+            u32::MAX,
+            u32::MAX,
+            u32::MAX,
+            u32::MAX,
+            u32::MAX - 1,
+            u32::MAX - 2,
+            1 << 31,
+            (1 << 31) - 1,
+        ]);
         let initial = simd_level();
         for k in 1..=8usize {
-            let idx: Vec<usize> = (0..k * LANES)
+            let mut idx: Vec<usize> = (0..k * LANES)
                 .map(|_| rng.next_below(1024) as usize)
                 .collect();
+            let random = min_gather_lanes_scalar(&counters, &idx, k);
+            // Lane 0 probes only stuck counters, lane 1 stuck ones and the
+            // largest live word, lane 2 the words near the top and the
+            // sign bit; lane 3 stays random.
+            for i in 0..k {
+                idx[i * LANES] = i % 4;
+                idx[i * LANES + 1] = if i == k - 1 { 4 } else { i % 4 };
+                idx[i * LANES + 2] = 4 + i % 4;
+            }
             let want = min_gather_lanes_scalar(&counters, &idx, k);
+            assert_eq!(want[0], u64::MAX, "k={k}");
+            assert_eq!(want[1], u64::from(u32::MAX - 1), "k={k}");
+            assert_eq!(
+                want[2],
+                [u32::MAX - 1, u32::MAX - 2, 1 << 31, (1 << 31) - 1][..k.min(4)]
+                    .iter()
+                    .map(|&c| u64::from(c))
+                    .min()
+                    .unwrap(),
+                "k={k}"
+            );
+            assert_eq!(want[3], random[3], "k={k}");
             for level in [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2] {
                 set_simd_level(level);
                 assert_eq!(min_gather_lanes(&counters, &idx, k), want, "k={k}");
@@ -679,12 +729,13 @@ mod tests {
     #[test]
     fn min_gather_handles_extreme_counter_values() {
         let _g = test_level_lock();
-        // The unsigned-compare emulation must order values straddling the
-        // sign bit correctly.
-        let counters = vec![u64::MAX, u64::MAX - 1, 1u64 << 63, (1u64 << 63) - 1, 0, 5];
-        let idx: Vec<usize> = vec![0, 1, 2, 3, 2, 3, 4, 5];
+        // The unsigned-compare min must order words straddling the sign
+        // bit, and a stuck lane must widen to `u64::MAX` while the word
+        // just below it widens as itself.
+        let counters = vec![u32::MAX, u32::MAX - 1, 1u32 << 31, (1u32 << 31) - 1, 0, 5];
+        let idx: Vec<usize> = vec![0, 1, 2, 3, 0, 1, 3, 5];
         let want = min_gather_lanes_scalar(&counters, &idx, 2);
-        assert_eq!(want, [1 << 63, (1 << 63) - 1, 0, 5]);
+        assert_eq!(want, [u64::MAX, u64::from(u32::MAX - 1), (1 << 31) - 1, 5]);
         let initial = simd_level();
         for level in [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2] {
             set_simd_level(level);

@@ -30,6 +30,7 @@
 
 use sbf_db::framing::{self, EncodeError, WireEncode};
 use sbf_db::wire::FilterEnvelope;
+use spectral_bloom::PlainCounters;
 
 /// Default cap on a single frame's length field, requests and responses
 /// alike (8 MiB — a 64 Ki-key batch of 100-byte keys fits comfortably).
@@ -874,15 +875,16 @@ impl WireEncode for Response {
     }
 }
 
-/// Decodes a MERGE body into an envelope, mapping decode failures onto
-/// protocol error codes. `max_counters` is the server's own `m` — any
-/// compatible envelope has exactly that many counters, so a larger claim
-/// is rejected before allocation.
+/// Decodes a MERGE body into an envelope whose counters narrow straight
+/// into the served store, mapping decode failures onto protocol error
+/// codes. `max_counters` is the server's own `m` — any compatible envelope
+/// has exactly that many counters, so a larger claim is rejected before
+/// allocation.
 pub fn decode_merge_envelope(
     bytes: &[u8],
     max_counters: usize,
-) -> Result<FilterEnvelope, (ErrorCode, String)> {
-    FilterEnvelope::decode_capped(bytes, max_counters).map_err(|e| {
+) -> Result<FilterEnvelope<PlainCounters>, (ErrorCode, String)> {
+    FilterEnvelope::decode_capped_as(bytes, max_counters).map_err(|e| {
         let code = match e {
             sbf_db::wire::WireError::Oversized => ErrorCode::Oversized,
             _ => ErrorCode::BadFrame,

@@ -29,6 +29,7 @@ use std::path::Path;
 
 use sbf_db::logrec::{LogScanner, TailStatus};
 use sbf_db::wire::FilterEnvelope;
+use spectral_bloom::{CounterStore, PlainCounters};
 
 use crate::metrics;
 use crate::proto::RequestRef;
@@ -124,9 +125,11 @@ pub fn recover(dir: &Path, state: &SharedState) -> Result<RecoveryReport, Recove
     let snapshot_path = dir.join(SNAPSHOT_FILE);
     match fs::read(&snapshot_path) {
         Ok(bytes) => {
-            let env = FilterEnvelope::decode_capped(&bytes, m).map_err(|e| {
-                RecoveryError::Snapshot(format!("{}: {e}", snapshot_path.display()))
-            })?;
+            // The counters narrow into the served store as they decode.
+            let env =
+                FilterEnvelope::<PlainCounters>::decode_capped_as(&bytes, m).map_err(|e| {
+                    RecoveryError::Snapshot(format!("{}: {e}", snapshot_path.display()))
+                })?;
             if env.counters.len() != m || env.k as usize != k || env.seed != seed {
                 return Err(RecoveryError::Snapshot(format!(
                     "geometry (m={}, k={}, seed={}) != server (m={m}, k={k}, seed={seed})",
@@ -135,7 +138,7 @@ pub fn recover(dir: &Path, state: &SharedState) -> Result<RecoveryReport, Recove
                     env.seed,
                 )));
             }
-            report.snapshot_mass = mass(&env.counters);
+            report.snapshot_mass = mass(env.counters.values());
             state.absorb_envelope(env);
             report.snapshot_loaded = true;
         }
@@ -205,8 +208,8 @@ pub struct SnapshotInfo {
 
 /// The sum of `counters`, saturating: one saturated counter is already
 /// `u64::MAX`.
-fn mass(counters: &[u64]) -> u64 {
-    counters.iter().fold(0, |sum, &c| sum.saturating_add(c))
+fn mass(counters: impl Iterator<Item = u64>) -> u64 {
+    counters.fold(0, |sum, c| sum.saturating_add(c))
 }
 
 /// Everything `sbf wal inspect` prints.
@@ -232,7 +235,7 @@ pub fn inspect(dir: &Path, max_record: usize) -> io::Result<WalInspection> {
                     m: env.counters.len(),
                     k: env.k,
                     seed: env.seed,
-                    mass: mass(&env.counters),
+                    mass: mass(env.counters.iter().copied()),
                 })
                 .map_err(|e| e.to_string());
             out.snapshot = Some(info);

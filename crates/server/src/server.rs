@@ -42,7 +42,9 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use sbf_db::wire::{encode_envelope, FilterEnvelope, FilterKind};
-use spectral_bloom::{DefaultFamily, MsSbf, PlainCounters, ShardedSketch, SketchReader};
+use spectral_bloom::{
+    CounterStore, DefaultFamily, MsSbf, PlainCounters, ShardedSketch, SketchReader,
+};
 
 use crate::client::{ClientError, SbfClient};
 use crate::cluster::repl::Replicator;
@@ -404,14 +406,14 @@ impl ServerConfigBuilder {
 }
 
 /// Rebuilds a concrete MS sketch from a decoded envelope so it can be
-/// unioned into the remote filter, adopting the decoded counters as its
-/// store. Mirrors `sbf-cli`'s rehydration: both MS and MI wire frames are
-/// plain counter vectors queried the same way. Every caller has checked
-/// the envelope against the server's geometry, so it holds `m ≥ 1`
-/// counters.
-fn rehydrate(env: FilterEnvelope) -> MsSbf {
+/// unioned into the remote filter, adopting the counters the decoder
+/// narrowed as its store. Mirrors `sbf-cli`'s rehydration: both MS and MI
+/// wire frames are plain counter vectors queried the same way. Every
+/// caller has checked the envelope against the server's geometry, so it
+/// holds `m ≥ 1` counters.
+fn rehydrate(env: FilterEnvelope<PlainCounters>) -> MsSbf {
     let family = DefaultFamily::new(env.counters.len(), env.k as usize, env.seed);
-    MsSbf::with_parts(family, PlainCounters::from(env.counters))
+    MsSbf::with_parts(family, env.counters)
 }
 
 /// Appends one acknowledged mutation to the WAL. The logged payload is
@@ -549,7 +551,7 @@ impl SharedState {
 
     /// Unions an already-validated envelope into the remote filter
     /// (recovery's snapshot restore; same mass placement as MERGE).
-    pub(crate) fn absorb_envelope(&self, env: FilterEnvelope) {
+    pub(crate) fn absorb_envelope(&self, env: FilterEnvelope<PlainCounters>) {
         self.union_remote(rehydrate(env));
     }
 
@@ -622,7 +624,7 @@ impl SharedState {
             FilterKind::MinimumSelection,
             self.k as u32,
             self.seed,
-            merged.core().store().as_slice().iter().copied(),
+            merged.core().store().values(),
         )
     }
 
@@ -1254,7 +1256,7 @@ mod tests {
         assert_eq!(env.counters.len(), m);
         let shard_union = st.sketch.snapshot();
         let live = shard_union.core().store();
-        assert!(live.as_slice().iter().any(|&c| c > 0));
+        assert!(live.values().any(|c| c > 0));
         for (i, (&got, &remote)) in env.counters.iter().zip(&merged).enumerate() {
             assert_eq!(got, live.get(i) + remote, "counter {i}");
         }

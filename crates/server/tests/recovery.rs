@@ -16,7 +16,10 @@
 //!   build/bind time with a typed config error instead of any connection
 //!   being served untimed,
 //! * a counter saturated at `u64::MAX` passes through every path that
-//!   codes the filter envelope and still reads `u64::MAX` afterwards.
+//!   codes the filter envelope and still reads `u64::MAX` afterwards,
+//! * a counter driven past the 32-bit store width sticks, reads
+//!   `u64::MAX` through every mutation, envelope and recovery path, and
+//!   leaves every other key's estimate as it was.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -401,9 +404,7 @@ fn saturated_counter_survives_every_envelope_path() {
     const KEY: &[u8] = b"saturated";
     /// The key's estimate in a decoded envelope.
     fn envelope_estimate(bytes: &[u8]) -> u64 {
-        let env = FilterEnvelope::decode(bytes).expect("envelope decodes");
-        let family = DefaultFamily::new(env.counters.len(), env.k as usize, env.seed);
-        MsSbf::with_parts(family, PlainCounters::from(env.counters)).estimate(KEY)
+        envelope_estimates(bytes, &[KEY])[0]
     }
     let dir = scratch("saturated");
     let mut cfg = wal_config(&dir);
@@ -464,6 +465,139 @@ fn saturated_counter_survives_every_envelope_path() {
     assert_eq!(replica_client.estimate(KEY).unwrap(), u64::MAX);
     assert!(replica_client.estimate(b"other").unwrap() >= 2);
     assert!(replica_client.estimate(b"late").unwrap() >= 1);
+
+    drop(client);
+    drop(replica_client);
+    handle.shutdown_and_join().unwrap();
+    replica.shutdown_and_join().unwrap();
+}
+
+/// The estimates of `keys` in a decoded filter envelope.
+fn envelope_estimates<K: AsRef<[u8]>>(bytes: &[u8], keys: &[K]) -> Vec<u64> {
+    let env = FilterEnvelope::decode(bytes).expect("envelope decodes");
+    let family = DefaultFamily::new(env.counters.len(), env.k as usize, env.seed);
+    let sbf = MsSbf::with_parts(family, PlainCounters::from(env.counters));
+    keys.iter().map(|k| sbf.estimate(k.as_ref())).collect()
+}
+
+/// A key driven past the 32-bit counter width: INSERT to `u32::MAX − 1`,
+/// then by 2 more. Its counters stick and read `u64::MAX`, so f̂ ≥ f holds
+/// for it through REMOVE, SNAPSHOT, MERGE, WAL replay after a crash, a
+/// checkpoint restore and a replica bootstrap, while every other key reads
+/// exactly the estimate it would without the hot key. The hot key leads
+/// each ESTIMATE_BATCH, so its stuck lane goes through the gathered-min
+/// kernel as well as the single-key path.
+#[test]
+fn counter_past_u32_max_sticks_through_every_path() {
+    const HOT: &[u8] = b"sticky";
+    let top = u64::from(u32::MAX);
+    let others: Vec<Vec<u8>> = (0..200)
+        .map(|i| format!("other-{i}").into_bytes())
+        .collect();
+    let truth: Vec<u64> = (0..200u64).map(|i| i % 5 + 1).collect();
+    let mut batch = vec![HOT.to_vec()];
+    batch.extend(others.iter().cloned());
+    // The hot key reads `u64::MAX` singly and batched; the others read
+    // `want`.
+    let check = |client: &mut SbfClient, want: &[u64], what: &str| {
+        assert_eq!(client.estimate(HOT).unwrap(), u64::MAX, "{what}: hot key");
+        let got = client.estimate_batch(&batch).unwrap();
+        assert_eq!(got[0], u64::MAX, "{what}: hot key, batched");
+        assert_eq!(&got[1..], want, "{what}: other keys");
+    };
+
+    let dir = scratch("sticky");
+    let mut cfg = wal_config(&dir);
+    let handle = SbfServer::bind(cfg.clone()).unwrap().spawn().unwrap();
+    let mut client = connect(handle.addr());
+    for (key, &count) in others.iter().zip(&truth) {
+        client.insert(key, count).unwrap();
+    }
+    let live = client.estimate_batch(&others).unwrap();
+    let cut = envelope_estimates(&client.snapshot().unwrap(), &others);
+    for ((&l, &c), &f) in live.iter().zip(&cut).zip(&truth) {
+        assert!(l >= f && c >= l);
+    }
+
+    client.insert(HOT, top - 1).unwrap();
+    assert!(client.estimate(HOT).unwrap() >= top - 1);
+    assert_eq!(client.estimate_batch(&others).unwrap(), live);
+    client.insert(HOT, 2).unwrap();
+    check(&mut client, &live, "past u32::MAX");
+    // f = u32::MAX − 2 now; the stuck counters are never decremented.
+    client.remove(HOT, 3).unwrap();
+    check(&mut client, &live, "after REMOVE");
+    let snapshot = client.snapshot().unwrap();
+    assert_eq!(envelope_estimates(&snapshot, &[HOT]), vec![u64::MAX]);
+    assert_eq!(envelope_estimates(&snapshot, &others), cut);
+    // MERGE the snapshot back: the remote filter answers `cut` for the
+    // other keys, on top of the live shards' `live`.
+    client.merge(&snapshot).unwrap();
+    let merged: Vec<u64> = live.iter().zip(&cut).map(|(l, c)| l + c).collect();
+    for (&est, &f) in merged.iter().zip(&truth) {
+        assert!(est >= 2 * f);
+    }
+    check(&mut client, &merged, "after MERGE");
+
+    // SIGKILL with no checkpoint: the restart replays every record.
+    drop(client);
+    handle.crash_and_join().unwrap();
+    let server = SbfServer::bind(cfg.clone()).unwrap();
+    let report = server.recovery_report().unwrap();
+    assert!(!report.snapshot_loaded);
+    assert_eq!(report.records_replayed, others.len() as u64 + 4);
+    let handle = server.spawn().unwrap();
+    let mut client = connect(handle.addr());
+    check(&mut client, &merged, "after WAL replay");
+
+    // Checkpoint, log one more record, SIGKILL, and restart from the
+    // snapshot plus that record, replicating to a fresh node.
+    let state = handle.state();
+    let wal = state.wal().expect("wal attached").clone();
+    let mut checkpoint = Vec::new();
+    wal.checkpoint(|| {
+        checkpoint = state.snapshot_envelope();
+        checkpoint.clone()
+    })
+    .unwrap();
+    let restored = envelope_estimates(&checkpoint, &others);
+    assert_eq!(envelope_estimates(&checkpoint, &[HOT]), vec![u64::MAX]);
+    client.insert(b"late", 1).unwrap();
+    drop(client);
+    handle.crash_and_join().unwrap();
+
+    let mut replica_cfg = cfg.clone();
+    replica_cfg.wal_dir = None;
+    let replica = SbfServer::bind(replica_cfg).unwrap().spawn().unwrap();
+    cfg.replicate_to = Some(replica.addr().to_string());
+    let server = SbfServer::bind(cfg).unwrap();
+    let report = server.recovery_report().unwrap();
+    assert!(report.snapshot_loaded);
+    assert_eq!(report.snapshot_mass, u64::MAX);
+    assert_eq!(report.records_replayed, 1);
+    let handle = server.spawn().unwrap();
+    let mut client = connect(handle.addr());
+    for (&est, &f) in restored.iter().zip(&truth) {
+        assert!(est >= 2 * f);
+    }
+    check(&mut client, &restored, "after checkpoint restore");
+
+    let repl = handle.state().replicator().expect("replicator").clone();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !repl.connected() {
+        assert!(
+            Instant::now() < deadline,
+            "replica bootstrap did not finish in 10s"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    // The replica holds the primary's whole filter as its remote mass.
+    let bootstrapped = envelope_estimates(&client.snapshot().unwrap(), &others);
+    let mut replica_client = connect(replica.addr());
+    check(&mut replica_client, &bootstrapped, "on the replica");
+    for (&est, &f) in bootstrapped.iter().zip(&truth) {
+        assert!(est >= 2 * f);
+    }
 
     drop(client);
     drop(replica_client);
