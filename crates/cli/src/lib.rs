@@ -44,7 +44,7 @@ use std::io::{BufRead, Write};
 use sbf_db::wire::{FilterEnvelope, FilterKind};
 use spectral_bloom::{
     CounterStore, DefaultFamily, MiSbf, MsSbf, MultisetSketch, PlainCounters, ShardedSketch,
-    SketchReader,
+    SketchReader, MAX_SHARDS,
 };
 
 /// Errors surfaced to the user with exit code 1.
@@ -270,7 +270,8 @@ pub fn run_query(
 }
 
 /// Merges envelopes by counter addition (the §5 distributed union).
-/// All inputs must agree on `m`, `k`, `seed` and kind.
+/// All inputs must agree on `m`, `k`, `seed` and kind, and there may be at
+/// most [`MAX_SHARDS`] of them (merge more in rounds).
 ///
 /// The union itself reuses [`ShardedSketch`]: each input envelope is
 /// rehydrated as one shard and the result is the shard union of
@@ -284,6 +285,11 @@ pub fn merge_envelopes(envelopes: Vec<FilterEnvelope>) -> Result<FilterEnvelope,
     let first = envelopes
         .first()
         .ok_or_else(|| CliError::Usage("merge needs at least one input".into()))?;
+    if envelopes.len() > MAX_SHARDS {
+        return Err(CliError::Usage(format!(
+            "merge takes at most {MAX_SHARDS} inputs; merge in rounds"
+        )));
+    }
     for env in &envelopes[1..] {
         if env.counters.len() != first.counters.len()
             || env.k != first.k
@@ -1006,6 +1012,12 @@ mod tests {
             merge_envelopes(vec![alien, b2]),
             Err(CliError::Incompatible(_))
         ));
+        // Each input is one shard of the union, so the shard cap bounds a
+        // merge: past it the merge is refused, not a panic.
+        let c = build_filter(&opts(FilterKind::MinimumSelection), Cursor::new("r\n")).unwrap();
+        let many = vec![c; MAX_SHARDS + 1];
+        assert!(merge_envelopes(many[..MAX_SHARDS].to_vec()).is_ok());
+        assert!(matches!(merge_envelopes(many), Err(CliError::Usage(_))));
     }
 
     #[test]
@@ -1352,6 +1364,15 @@ mod tests {
                 ),
                 "{flags:?} should be a usage error"
             );
+        }
+        // More shards than a batched estimate holds guards for is refused
+        // with the typed config error's message.
+        let argv: Vec<String> = ["serve", "--addr", "127.0.0.1:0", "--shards", "65"]
+            .map(String::from)
+            .to_vec();
+        match run(argv, Cursor::new(""), Vec::new()) {
+            Err(CliError::Usage(msg)) => assert_eq!(msg, "shards must be at most 64"),
+            other => panic!("--shards 65 should be refused, got {other:?}"),
         }
     }
 

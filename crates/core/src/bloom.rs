@@ -78,10 +78,7 @@ impl<F: HashFamily> BloomFilter<F> {
     /// Unites another filter into this one (bitwise OR) — the Bloom
     /// analogue of the SBF's §5 counter-addition union. Both filters must
     /// share parameters and hash functions.
-    pub fn union_assign(&mut self, other: &BloomFilter<F>)
-    where
-        F: PartialEq,
-    {
+    pub fn union_assign(&mut self, other: &BloomFilter<F>) {
         assert!(
             self.family == other.family,
             "union requires identical parameters and hash functions"

@@ -1,15 +1,19 @@
 //! The shared machinery under every SBF algorithm: `k` hashed counters,
 //! bulk increment/decrement, minima inspection, union and multiply — plus
-//! the two software-pipelined batch engines: ingest
-//! ([`SbfCore::increment_batch`], [`SbfCore::increment_batch_picked`]) and
-//! minimum ([`SbfCore::min_batch_into`], [`SbfCore::min_batch_picked_into`]).
-//! Minimum Selection is the one sketch whose batched trait methods call
-//! them; the other sketches answer batches with the trait's item loops.
+//! the two batch engines: ingest ([`SbfCore::increment_batch`],
+//! [`SbfCore::increment_batch_picked`]) and the routed minimum
+//! ([`SbfCore::min_routed_into`], whose one-filter case is
+//! [`SbfCore::min_batch_into`]). Ingest takes a batch one shard's picks at
+//! a time; the minimum answers a whole batch across every shard in one pass
+//! in input order. Minimum Selection is the one sketch whose batched trait
+//! methods call them; the other sketches answer batches with the trait's
+//! item loops.
 
 use sbf_hash::{dispatch, HashFamily, IndexBuf, Key, SimdLevel, LANES, MAX_K};
 
 use crate::metrics;
 use crate::num;
+use crate::sharded::{route, MAX_SHARDS};
 use crate::store::{CounterStore, RemoveError};
 use crate::DefaultFamily;
 
@@ -28,58 +32,46 @@ pub const PIPELINE_DEPTH: usize = 8;
 /// The software-pipelined loop under both batch engines.
 ///
 /// Expands to a ring-buffered "hash ahead by [`PIPELINE_DEPTH`]" loop over
-/// the positions `0..n`: `hash` computes the [`IndexBuf`] of the item at
-/// `pos`, `prefetch` requests its counter cache lines, `apply` consumes the
-/// indices of the *current* item. Items are applied strictly in order —
-/// only hashing and prefetching run ahead — so batched results are
-/// bit-identical to the item-at-a-time path.
+/// the positions `0..n`: `stage` hashes the item at `pos` into its
+/// [`IndexBuf`] slot and prefetches its counter cache lines, `apply`
+/// consumes the indices of the *current* item at `pos`. Items are applied
+/// strictly in order — only hashing and prefetching run ahead — so batched
+/// results are bit-identical to the item-at-a-time path. The slot of
+/// item `pos` is `pos % PIPELINE_DEPTH`, so a caller may keep per-item
+/// side data in a parallel ring.
 ///
-/// A macro rather than a higher-order function so that `hash`/`prefetch`
-/// (shared borrows) and `apply` (a mutable borrow of the same core, on the
-/// ingest engine) expand to *sequential* statements instead of coexisting
-/// closure captures, which the borrow checker would reject.
+/// A macro rather than a higher-order function so that `stage` (shared
+/// borrows) and `apply` (a mutable borrow of the same core, on the ingest
+/// engine) expand to *sequential* statements instead of coexisting closure
+/// captures, which the borrow checker would reject.
 macro_rules! pipelined_batch {
     (
         $n:expr,
-        hash = |$pos:ident, $slot:ident| $hash:expr,
-        prefetch = |$pidx:ident| $pre:expr,
-        apply = |$idx:ident| $body:expr
+        stage = |$pos:ident, $slot:ident| $stage:expr,
+        apply = |$apos:pat_param, $idx:ident| $body:expr
     ) => {{
         let len = $n;
         let depth = PIPELINE_DEPTH.min(len);
         if depth > 0 {
             let mut ring = [IndexBuf::new(); PIPELINE_DEPTH];
-            for ($pos, ring_slot) in ring.iter_mut().enumerate().take(depth) {
-                {
-                    let $slot = &mut *ring_slot;
-                    $hash;
-                }
-                {
-                    let $pidx = &*ring_slot;
-                    $pre;
-                }
+            for ($pos, $slot) in ring.iter_mut().enumerate().take(depth) {
+                $stage;
             }
             for i in 0..len {
                 // Borrow (not copy) the slot: `apply` consumes it before
                 // the refill below overwrites it, so the shared borrow of
                 // `ring` has ended by then.
                 {
+                    let $apos = i;
                     let $idx = &ring[i % PIPELINE_DEPTH];
                     $body;
                 }
                 let $pos = i + depth;
                 if $pos < len {
-                    // Hash straight into the just-vacated slot (the `hash`
-                    // stage writes the slot in place — no `IndexBuf`-sized
-                    // temp copy), then prefetch from it.
-                    {
-                        let $slot = &mut ring[i % PIPELINE_DEPTH];
-                        $hash;
-                    }
-                    {
-                        let $pidx = &ring[i % PIPELINE_DEPTH];
-                        $pre;
-                    }
+                    // Hash straight into the just-vacated slot (no
+                    // `IndexBuf`-sized temp copy), then prefetch from it.
+                    let $slot = &mut ring[i % PIPELINE_DEPTH];
+                    $stage;
                 }
             }
         }
@@ -98,8 +90,8 @@ macro_rules! pipelined_batch {
 /// scalar on 2026-10-17 (see DESIGN.md §4i) — no win worth a second write
 /// pipeline. The minimum engine wins because the minimum over a multiset
 /// equals the minimum over its distinct values: dedup is skipped, and
-/// (where the store exposes a plain `u32` slice) the hashes feed the
-/// gathered-min kernel directly.
+/// (where every store exposes a plain `u32` slice) the lane hashes index
+/// the counter words directly.
 #[inline]
 fn lanes_worthwhile(n: usize) -> bool {
     n >= LANES && sbf_hash::simd_level() != SimdLevel::Scalar
@@ -449,104 +441,138 @@ impl<F: HashFamily, S: CounterStore> SbfCore<F, S> {
     fn ingest_run<'k, K: Key + 'k>(&mut self, n: usize, key_at: impl Fn(usize) -> &'k K) {
         pipelined_batch!(
             n,
-            hash = |pos, slot| self.key_indexes_into(key_at(pos), slot),
-            prefetch = |idx| self.prefetch_idx_write(idx),
-            apply = |idx| self.increment_idx(idx, 1)
+            stage = |pos, slot| {
+                self.key_indexes_into(key_at(pos), slot);
+                self.prefetch_idx_write(slot);
+            },
+            apply = |_, idx| self.increment_idx(idx, 1)
         );
     }
 
     /// The per-key minimum counter (the Minimum Selection estimate `m_x`)
     /// for every key, without dedup (like [`SbfCore::min_of_key`]). `out`
     /// is cleared first; `out[i]` answers `keys[i]`, exactly as
-    /// `key_counters(keys[i]).min()` would.
+    /// `key_counters(keys[i]).min()` would. The one-filter case of
+    /// [`SbfCore::min_routed_into`].
     pub fn min_batch_into<K: Key>(&self, keys: &[K], out: &mut Vec<u64>) {
-        out.clear();
-        self.min_run(keys.len(), |i| &keys[i], out);
+        Self::min_routed_into(&[self], 0, keys, out);
     }
 
-    /// [`SbfCore::min_batch_into`] addressed through `picks`, *appending*
-    /// to `out` (the sharded estimate scatters per-shard answers back into
-    /// request order afterwards).
-    pub fn min_batch_picked_into<K: Key>(&self, keys: &[K], picks: &[u32], out: &mut Vec<u64>) {
-        self.min_run(picks.len(), |i| &keys[num::to_usize(picks[i])], out);
-    }
-
-    /// The minimum engine: appends the minimum counter of each of the `n`
-    /// keys `key_at(0)`, …, `key_at(n - 1)` to `out`, in that order.
+    /// The minimum engine: `out[i]` becomes the minimum counter of
+    /// `keys[i]` in the core that owns it, `shards[route(keys[i])]` under
+    /// router seed `route_seed` (the routing of [`crate::ShardedSketch`]).
+    /// `out` is cleared first.
     ///
-    /// Batches covering a lane group on a store with a plain `u32` slice
-    /// take the SIMD lane pass ([`SbfCore::min_lanes_run`]); the rest take
-    /// the scalar pipeline with read-intent prefetch. Both answer
-    /// bit-identically to per-key [`SbfCore::min_of_key`].
-    #[inline]
-    fn min_run<'k, K: Key + 'k>(
-        &self,
-        n: usize,
-        key_at: impl Fn(usize) -> &'k K,
+    /// Every core must share one hash family, and there must be between 1
+    /// and [`MAX_SHARDS`] of them. Each key is routed and hashed once, in
+    /// input order. Batches covering a lane group, where every store exposes
+    /// a plain `u32` slice, take the SIMD lane pass; the rest take the
+    /// scalar pipeline with read-intent prefetch. Both answer
+    /// bit-identically to per-key [`SbfCore::min_of_key`] on the owning
+    /// core.
+    pub fn min_routed_into<K: Key>(
+        shards: &[&Self],
+        route_seed: u64,
+        keys: &[K],
         out: &mut Vec<u64>,
     ) {
+        let n = keys.len();
+        let family = &shards[0].family;
+        let n_shards = shards.len();
+        debug_assert!(n_shards <= MAX_SHARDS);
+        debug_assert!(shards.iter().all(|c| c.family == *family));
+        out.clear();
         out.reserve(n);
-        if lanes_worthwhile(n) {
-            if let Some(counters) = self.store.as_u32_slice() {
-                self.min_lanes_run(counters, n, |i| key_at(i).canonical(), out);
-                return;
-            }
+        let counters: [Option<&[u32]>; MAX_SHARDS] =
+            std::array::from_fn(|i| shards.get(i).and_then(|c| c.store.as_u32_slice()));
+        if lanes_worthwhile(n) && counters[..n_shards].iter().all(Option::is_some) {
+            let counters = counters.map(Option::unwrap_or_default);
+            let canon = |i: usize| keys[i].canonical();
+            Self::min_lanes_routed(family, &counters[..n_shards], route_seed, n, canon, out);
+            return;
         }
+        let mut owners = [0usize; PIPELINE_DEPTH];
         pipelined_batch!(
             n,
-            hash = |pos, slot| raw_indexes_into(&self.family, key_at(pos), slot),
-            prefetch = |idx| self.prefetch_idx(idx),
-            apply = |idx| out.push(self.min_of_idx(idx))
+            stage = |pos, slot| {
+                let v = keys[pos].canonical();
+                let owner = route(v, route_seed, n_shards);
+                owners[pos % PIPELINE_DEPTH] = owner;
+                raw_indexes_into(family, &v, slot);
+                shards[owner].prefetch_idx(slot);
+            },
+            apply = |pos, idx| out.push(shards[owners[pos % PIPELINE_DEPTH]].min_of_idx(idx))
         );
     }
 
-    /// The SIMD estimate worker: hashes lane groups through the family's
-    /// vector kernel straight into seed-major stages (no [`IndexBuf`], no
-    /// [`IndexBuf::dedup`] — the minimum over a multiset equals the
-    /// minimum over its distinct values, so the answers stay bit-identical
-    /// to the scalar path) and reduces each group with the gathered-min
-    /// kernel. Two lane groups stay hashed-and-prefetched ahead, matching
-    /// [`PIPELINE_DEPTH`] items in flight.
-    fn min_lanes_run(
-        &self,
-        counters: &[u32],
+    /// The SIMD lane pass of [`SbfCore::min_routed_into`] over the `u32`
+    /// words of each owning shard: each lane group's canonical values are
+    /// routed in one lane pass ([`dispatch::mix_reduce_lanes`], bit-identical
+    /// to per-key routing) and hashed through the family's vector kernel
+    /// straight into seed-major stages (no [`IndexBuf`], no
+    /// [`IndexBuf::dedup`] — the minimum over a multiset equals the minimum
+    /// over its distinct values), then each lane's minimum is read with
+    /// plain loads from its own shard's words. Two lane groups stay
+    /// hashed-and-prefetched ahead, matching [`PIPELINE_DEPTH`] items in
+    /// flight.
+    fn min_lanes_routed(
+        family: &F,
+        counters: &[&[u32]],
+        route_seed: u64,
         n: usize,
         canon: impl Fn(usize) -> u64,
         out: &mut Vec<u64>,
     ) {
-        let k = self.family.k();
+        let k = family.k();
+        let shards = counters.len();
         let groups = n / LANES;
-        // Ring of 3 so the refill (2 groups ahead) never lands on a stage
-        // that is still unconsumed.
-        let mut stages = [[0usize; LANES * MAX_K]; 3];
-        let ahead = 2.min(groups);
-        for (g, stage) in stages.iter_mut().enumerate().take(ahead) {
+        // Routes, hashes and prefetches lane group `g` into one stage.
+        let stage = |g: usize, owners: &mut [usize; LANES], idx: &mut [usize]| {
             let b = g * LANES;
             let vs = [canon(b), canon(b + 1), canon(b + 2), canon(b + 3)];
-            self.family.indexes_lanes(vs, &mut stage[..k * LANES]);
-            for &i in &stage[..k * LANES] {
-                sbf_hash::prefetch_slice(counters, i);
+            // One shard owns every lane: skip the router on the single
+            // filter's hot path.
+            if shards > 1 {
+                *owners = dispatch::mix_reduce_lanes(vs, route_seed, num::to_u64(shards));
             }
+            family.indexes_lanes(vs, idx);
+            let words = owners.map(|o| counters[o]);
+            for seed_idx in idx.chunks_exact(LANES) {
+                for lane in 0..LANES {
+                    sbf_hash::prefetch_slice(words[lane], seed_idx[lane]);
+                }
+            }
+        };
+        // Ring of 3 so the refill (2 groups ahead) never lands on a stage
+        // that is still unconsumed.
+        let mut owners = [[0usize; LANES]; 3];
+        let mut stages = [[0usize; LANES * MAX_K]; 3];
+        let ahead = 2.min(groups);
+        for g in 0..ahead {
+            stage(g, &mut owners[g], &mut stages[g][..k * LANES]);
         }
         for g in 0..groups {
             let refill = g + ahead;
             if refill < groups {
-                let b = refill * LANES;
-                let vs = [canon(b), canon(b + 1), canon(b + 2), canon(b + 3)];
-                let stage = &mut stages[refill % 3];
-                self.family.indexes_lanes(vs, &mut stage[..k * LANES]);
-                for &i in &stage[..k * LANES] {
-                    sbf_hash::prefetch_slice(counters, i);
+                let r = refill % 3;
+                stage(refill, &mut owners[r], &mut stages[r][..k * LANES]);
+            }
+            let idx = &stages[g % 3][..k * LANES];
+            let words = owners[g % 3].map(|o| counters[o]);
+            let mut mins = [u32::MAX; LANES];
+            for seed_idx in idx.chunks_exact(LANES) {
+                for lane in 0..LANES {
+                    mins[lane] = mins[lane].min(words[lane][seed_idx[lane]]);
                 }
             }
-            let mins = dispatch::min_gather_lanes(counters, &stages[g % 3][..k * LANES], k);
-            out.extend_from_slice(&mins);
+            out.extend_from_slice(&mins.map(dispatch::widen_counter));
         }
         for j in groups * LANES..n {
             let v = canon(j);
+            let words = counters[route(v, route_seed, shards)];
             let mut idx = [0usize; MAX_K];
-            self.family.indexes_into(&v, &mut idx[..k]);
-            let min = idx[..k].iter().map(|&i| counters[i]).min().unwrap_or(0);
+            family.indexes_into(&v, &mut idx[..k]);
+            let min = idx[..k].iter().map(|&i| words[i]).min().unwrap_or(0);
             out.push(dispatch::widen_counter(min));
         }
     }
@@ -564,19 +590,13 @@ impl<F: HashFamily, S: CounterStore> SbfCore<F, S> {
 
     /// Whether `other` was built with identical parameters and hash
     /// functions — the precondition for union and multiply (§2.2).
-    pub fn compatible<S2: CounterStore>(&self, other: &SbfCore<F, S2>) -> bool
-    where
-        F: PartialEq,
-    {
+    pub fn compatible<S2: CounterStore>(&self, other: &SbfCore<F, S2>) -> bool {
         self.family == other.family
     }
 
     /// Counter-wise addition: the distributed union of §2.2 (*"SBFs can be
     /// united simply by addition of their counter vectors"*).
-    pub fn union_assign<S2: CounterStore>(&mut self, other: &SbfCore<F, S2>)
-    where
-        F: PartialEq,
-    {
+    pub fn union_assign<S2: CounterStore>(&mut self, other: &SbfCore<F, S2>) {
         assert!(
             self.compatible(other),
             "union requires identical parameters and hash functions"
@@ -600,10 +620,7 @@ impl<F: HashFamily, S: CounterStore> SbfCore<F, S> {
     /// own ceiling (a [`crate::PlainCounters`] product of `u32::MAX` or more
     /// sticks). A saturated product is still an upper bound on the joined
     /// frequency.
-    pub fn multiply_assign<S2: CounterStore>(&mut self, other: &SbfCore<F, S2>)
-    where
-        F: PartialEq,
-    {
+    pub fn multiply_assign<S2: CounterStore>(&mut self, other: &SbfCore<F, S2>) {
         assert!(
             self.compatible(other),
             "multiply requires identical parameters and hash functions"
@@ -750,7 +767,8 @@ mod tests {
     fn batch_engine_matches_singles_across_depth_boundaries() {
         // Exercise batch lengths around PIPELINE_DEPTH: empty, shorter than
         // the ring, exactly the ring, and several multiples past it — for
-        // both engines, addressed directly and through reversed picks.
+        // both engines, with ingest addressed directly and through reversed
+        // picks.
         for n in [0usize, 1, 7, 8, 9, 40] {
             let keys: Vec<u64> = (0..n as u64).map(|i| i % 11).collect();
             let picks: Vec<u32> = (0..n as u32).rev().collect();
@@ -772,12 +790,60 @@ mod tests {
             let mut got = Vec::new();
             batch.min_batch_into(&probes, &mut got);
             assert_eq!(got, want, "n={n}");
-            let mut picked = vec![u64::MAX];
-            by_pick.min_batch_picked_into(&probes, &picks, &mut picked);
-            let want_picked: Vec<u64> = std::iter::once(u64::MAX)
-                .chain(picks.iter().map(|&j| want[j as usize]))
+            by_pick.min_batch_into(&probes, &mut got);
+            assert_eq!(got, want, "picked n={n}");
+        }
+    }
+
+    /// The routed engine against per-key minima on each key's owning core,
+    /// at every dispatch level, over 32-bit words at the store's edges:
+    /// stuck (`u32::MAX`, which reads `u64::MAX`), the largest live words and
+    /// the words either side of the sign bit. 203 keys cover 50 lane groups
+    /// and a tail of 3.
+    #[test]
+    fn routed_minimum_reads_extreme_words_at_every_level() {
+        use sbf_hash::{set_simd_level, simd_level, SimdLevel};
+        let extremes = [
+            u64::MAX,
+            u64::from(u32::MAX - 1),
+            u64::from(u32::MAX - 2),
+            1 << 31,
+            (1 << 31) - 1,
+            0,
+            5,
+        ];
+        let keys: Vec<u64> = (0..203).collect();
+        let seed = 0x5eed;
+        for n_shards in [1usize, 3] {
+            let mut cores: Vec<Core> = (0..n_shards).map(|_| core(64, 3, 5)).collect();
+            for (s, c) in cores.iter_mut().enumerate() {
+                for i in 0..64 {
+                    c.store_mut().set(i, extremes[(i * 7 + s) % extremes.len()]);
+                }
+            }
+            // Key 0's counters all stick; key 1's minimum is the largest
+            // live word.
+            for (key, value) in [(1u64, u64::from(u32::MAX - 1)), (0, u64::MAX)] {
+                let owner = route(key, seed, n_shards);
+                for i in cores[owner].key_indexes(&key).as_slice().to_vec() {
+                    cores[owner].store_mut().set(i, value);
+                }
+            }
+            let refs: Vec<&Core> = cores.iter().collect();
+            let want: Vec<u64> = keys
+                .iter()
+                .map(|&key| refs[route(key, seed, n_shards)].min_of_key(&key))
                 .collect();
-            assert_eq!(picked, want_picked, "picked n={n}");
+            assert_eq!(want[0], u64::MAX, "shards={n_shards}");
+            assert!(want[1] >= u64::from(u32::MAX - 2), "shards={n_shards}");
+            let initial = simd_level();
+            for level in [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2] {
+                set_simd_level(level);
+                let mut got = Vec::new();
+                SbfCore::min_routed_into(&refs, seed, &keys, &mut got);
+                assert_eq!(got, want, "shards={n_shards} level={level:?}");
+            }
+            set_simd_level(initial);
         }
     }
 

@@ -95,7 +95,7 @@ pub use paged::{IoStats, PagedCounters};
 pub use params::{bloom_error_rate, optimal_k, FromParams, SbfParams};
 pub use range::RangeTreeSketch;
 pub use rm::RmSbf;
-pub use sharded::{ShardMerge, ShardedSketch};
+pub use sharded::{ShardMerge, ShardedSketch, MAX_SHARDS};
 pub use sketch::{MultisetSketch, SketchReader};
 pub use spectrum::{frequency_histogram, profile, SpectrumProfile};
 pub use store::{CompactCounters, CompressedCounters, CounterStore, PlainCounters, RemoveError};

@@ -81,10 +81,7 @@ impl<F: HashFamily, S: CounterStore> MiSbf<F, S> {
     /// counter still dominates each key's combined true count, so
     /// estimates stay one-sided upper bounds — this is what lets
     /// [`crate::ShardedSketch`] union MI shards.
-    pub fn union_assign<S2: CounterStore>(&mut self, other: &MiSbf<F, S2>)
-    where
-        F: PartialEq,
-    {
+    pub fn union_assign<S2: CounterStore>(&mut self, other: &MiSbf<F, S2>) {
         self.core.union_assign(&other.core);
     }
 

@@ -6,7 +6,8 @@ use crate::core_ops::SbfCore;
 use crate::metrics;
 use crate::num;
 use crate::params::{FromParams, SbfParams};
-use crate::sketch::{MultisetSketch, SketchReader};
+use crate::sharded::MAX_SHARDS;
+use crate::sketch::{self, MultisetSketch, SketchReader};
 use crate::store::{CounterStore, PlainCounters, RemoveError};
 use crate::DefaultFamily;
 
@@ -64,18 +65,12 @@ impl<F: HashFamily, S: CounterStore> MsSbf<F, S> {
     }
 
     /// Unites another MS filter into this one (counter addition, §2.2).
-    pub fn union_assign<S2: CounterStore>(&mut self, other: &MsSbf<F, S2>)
-    where
-        F: PartialEq,
-    {
+    pub fn union_assign<S2: CounterStore>(&mut self, other: &MsSbf<F, S2>) {
         self.core.union_assign(&other.core);
     }
 
     /// Multiplies counter-wise, forming the join synopsis of §2.2.
-    pub fn multiply_assign<S2: CounterStore>(&mut self, other: &MsSbf<F, S2>)
-    where
-        F: PartialEq,
-    {
+    pub fn multiply_assign<S2: CounterStore>(&mut self, other: &MsSbf<F, S2>) {
         self.core.multiply_assign(&other.core);
     }
 }
@@ -119,19 +114,25 @@ impl<F: HashFamily, S: CounterStore> SketchReader for MsSbf<F, S> {
 
     fn estimate_batch_into<K: Key>(&self, keys: &[K], out: &mut Vec<u64>) {
         self.core.min_batch_into(keys, out);
-        metrics::on(|m| {
-            m.estimates.add(num::to_u64(keys.len()));
-            m.estimate_values.observe_many(out);
-        });
+        observe_estimates(out);
     }
 
-    fn estimate_batch_picked_into<K: Key>(&self, keys: &[K], picks: &[u32], out: &mut Vec<u64>) {
-        let before = out.len();
-        self.core.min_batch_picked_into(keys, picks, out);
-        metrics::on(|m| {
-            m.estimates.add(num::to_u64(picks.len()));
-            m.estimate_values.observe_many(&out[before..]);
-        });
+    fn estimate_routed_into<K: Key>(
+        shards: &[&Self],
+        route_seed: u64,
+        keys: &[K],
+        out: &mut Vec<u64>,
+    ) {
+        let family = shards[0].core.family();
+        if shards.iter().any(|s| s.core.family() != family) {
+            // Shards that hash differently cannot share one pass.
+            return sketch::estimate_routed_per_key(shards, route_seed, keys, out);
+        }
+        let last = shards.len() - 1;
+        let cores: [&SbfCore<F, S>; MAX_SHARDS] =
+            std::array::from_fn(|i| &shards[i.min(last)].core);
+        SbfCore::min_routed_into(&cores[..shards.len()], route_seed, keys, out);
+        observe_estimates(out);
     }
 
     fn total_count(&self) -> u64 {
@@ -145,6 +146,15 @@ impl<F: HashFamily, S: CounterStore> SketchReader for MsSbf<F, S> {
     fn occupancy(&self) -> f64 {
         self.core.occupancy()
     }
+}
+
+/// Counts a batch of answered estimates: one histogram update per batch,
+/// the same totals as one [`SketchReader::estimate`] call per key.
+fn observe_estimates(ests: &[u64]) {
+    metrics::on(|m| {
+        m.estimates.add(num::to_u64(ests.len()));
+        m.estimate_values.observe_many(ests);
+    });
 }
 
 impl<F: HashFamily, S: CounterStore> MultisetSketch for MsSbf<F, S> {

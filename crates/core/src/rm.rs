@@ -130,10 +130,7 @@ impl<F: HashFamily, S: CounterStore> RmSbf<F, S> {
     /// mass, which can only raise counters. (Splitting one key's mass
     /// across both inputs could under-read through the secondary, which is
     /// why this is not exposed as a general multiset union.)
-    pub fn union_assign(&mut self, other: &RmSbf<F, S>)
-    where
-        F: PartialEq,
-    {
+    pub fn union_assign(&mut self, other: &RmSbf<F, S>) {
         self.primary.union_assign(&other.primary);
         self.secondary.union_assign(&other.secondary);
         match (&mut self.marker, &other.marker) {

@@ -16,11 +16,17 @@
 //! adds the shard counter vectors. Queries don't need the union — they
 //! route to the owning shard, touching one lock in read mode.
 //!
-//! A batch is partitioned once into per-shard pick lists — with one shard
-//! as with many — and each shard applies its picks through its own batch
-//! path: the pipelined engines for [`MsSbf`], the trait's item loops for
-//! the other sketches. There is no batched removal; removals lock the
-//! owning shard per key.
+//! Partitioning is write-only. A batched insert is partitioned once into
+//! per-shard pick lists — with one shard as with many — and each shard
+//! applies its picks under its own write lock through its batch path: the
+//! pipelined ingest engine for [`MsSbf`], the trait's item loop for the
+//! other sketches. A batched estimate read-locks every shard once, in
+//! ascending index order, and answers in one pass in input order
+//! ([`SketchReader::estimate_routed_into`]): for [`MsSbf`] shards of one
+//! hash family, each key is routed and hashed once and its minimum read
+//! from its owning shard's counters (§2.2 and §5: a key's `k` counters all
+//! sit in the one sub-filter that owns it). There is no batched removal;
+//! removals lock the owning shard per key.
 
 use crate::sync::lock_unpoisoned;
 use crate::sync::{Mutex, RwLock};
@@ -36,7 +42,24 @@ use crate::rm::RmSbf;
 use crate::sketch::{MultisetSketch, SketchReader};
 use crate::store::{CounterStore, RemoveError};
 
-/// Reusable buffers for partitioning one batch of keys across shards.
+/// The most shards a [`ShardedSketch`] may hold.
+///
+/// A batched estimate holds every shard's read guard at once, in a
+/// fixed-size stack array, so the count needs a ceiling. The served sketch
+/// has 4 shards; 64 leaves ample room.
+pub const MAX_SHARDS: usize = 64;
+
+/// The shard, of `n`, that owns a key of canonical value `v` under router
+/// seed `seed`. [`sbf_hash::dispatch::mix_reduce_lanes`] computes the same
+/// owner for a lane group.
+#[inline]
+pub(crate) fn route(v: u64, seed: u64, n: usize) -> usize {
+    // Widening multiply maps uniformly onto {0..n-1} without modulo bias.
+    num::mul_shift_range(fmix64(v ^ seed), n)
+}
+
+/// Reusable buffers for partitioning one batch of keys across shards (the
+/// batched insert path).
 ///
 /// Holding plain indices (not borrowed keys) keeps the struct lifetime-free
 /// so one instance can live inside [`ShardedSketch`] and be reused across
@@ -50,8 +73,8 @@ struct PartitionScratch {
     counts: Vec<usize>,
     /// Item indices grouped by shard, input order preserved within a shard.
     order: Vec<u32>,
-    /// Per-item results in `order` order (query path).
-    vals: Vec<u64>,
+    /// Per-shard fill cursor into `order` while partitioning.
+    cursor: Vec<usize>,
 }
 
 impl PartitionScratch {
@@ -73,14 +96,11 @@ impl PartitionScratch {
         }
         self.order.clear();
         self.order.resize(len, 0);
-        // `vals` doubles as the scatter cursor here; the query path
-        // overwrites it afterwards anyway.
-        self.vals.clear();
-        self.vals
-            .extend(self.counts[..num_shards].iter().map(|&c| num::to_u64(c)));
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&self.counts[..num_shards]);
         for (i, &s) in self.shard_ids.iter().enumerate() {
-            let c = &mut self.vals[num::to_usize(s)];
-            self.order[num::to_usize(*c)] = num::idx_u32(i);
+            let c = &mut self.cursor[num::to_usize(s)];
+            self.order[*c] = num::idx_u32(i);
             *c += 1;
         }
     }
@@ -102,19 +122,19 @@ pub trait ShardMerge {
     fn absorb(&mut self, other: &Self);
 }
 
-impl<F: HashFamily + PartialEq, S: CounterStore> ShardMerge for MsSbf<F, S> {
+impl<F: HashFamily, S: CounterStore> ShardMerge for MsSbf<F, S> {
     fn absorb(&mut self, other: &Self) {
         self.union_assign(other);
     }
 }
 
-impl<F: HashFamily + PartialEq, S: CounterStore> ShardMerge for MiSbf<F, S> {
+impl<F: HashFamily, S: CounterStore> ShardMerge for MiSbf<F, S> {
     fn absorb(&mut self, other: &Self) {
         self.union_assign(other);
     }
 }
 
-impl<F: HashFamily + PartialEq, S: CounterStore> ShardMerge for RmSbf<F, S> {
+impl<F: HashFamily, S: CounterStore> ShardMerge for RmSbf<F, S> {
     fn absorb(&mut self, other: &Self) {
         self.union_assign(other);
     }
@@ -123,10 +143,12 @@ impl<F: HashFamily + PartialEq, S: CounterStore> ShardMerge for RmSbf<F, S> {
 /// `S` independent sub-filters with per-shard read/write locks.
 ///
 /// All shards must be built with **identical parameters** (`m`, `k`, seed)
-/// so their counter vectors are addable per §5; [`ShardedSketch::with_shards`]
-/// enforces this by construction. The router hash is independent of the
-/// sketches' own hash family, so shard assignment does not bias which
-/// counters a key touches.
+/// so their counter vectors are addable per §5; [`ShardedSketch::from_params`]
+/// enforces this by construction. A batched estimate over [`MsSbf`] shards
+/// takes its one-pass path only when they share one hash family, and
+/// answers shards that differ key by key. The router hash is independent
+/// of the sketches' own hash family, so shard assignment does not bias
+/// which counters a key touches. There are at most [`MAX_SHARDS`] shards.
 ///
 /// ```
 /// use spectral_bloom::{MiSbf, MultisetSketch, ShardedSketch};
@@ -148,7 +170,7 @@ impl<F: HashFamily + PartialEq, S: CounterStore> ShardMerge for RmSbf<F, S> {
 pub struct ShardedSketch<SK> {
     shards: Vec<RwLock<SK>>,
     route_seed: u64,
-    /// Reused partition buffers for the batch paths. `try_lock`ed: if
+    /// Reused partition buffers for batched inserts. `try_lock`ed: if
     /// another thread is mid-batch, the loser falls back to a transient
     /// local scratch rather than serialising batches on this mutex.
     scratch: Mutex<PartitionScratch>,
@@ -166,11 +188,16 @@ impl<SK> ShardedSketch<SK> {
         Self::from_shards((0..n).map(make).collect())
     }
 
-    /// Wraps pre-built shards (all with identical parameters).
+    /// Wraps pre-built shards (all with identical parameters), between 1
+    /// and [`MAX_SHARDS`] of them.
     pub fn from_shards(shards: Vec<SK>) -> Self {
         assert!(
             !shards.is_empty(),
             "sharded sketch needs at least one shard"
+        );
+        assert!(
+            shards.len() <= MAX_SHARDS,
+            "sharded sketch holds at most {MAX_SHARDS} shards"
         );
         ShardedSketch {
             shards: shards.into_iter().map(RwLock::new).collect(),
@@ -202,9 +229,7 @@ impl<SK> ShardedSketch<SK> {
     /// Which shard owns `key`.
     #[inline]
     pub fn shard_of<K: Key + ?Sized>(&self, key: &K) -> usize {
-        let h = fmix64(key.canonical() ^ self.route_seed);
-        // Widening multiply maps uniformly onto {0..S-1} without modulo bias.
-        num::mul_shift_range(h, self.shards.len())
+        route(key.canonical(), self.route_seed, self.shards.len())
     }
 
     /// Runs `f` with shared read access to shard `i` (bulk queries against
@@ -252,6 +277,10 @@ impl<SK: MultisetSketch> ShardedSketch<SK> {
 
     /// Partitions `keys` across shards in the shared scratch (or a
     /// transient one when another thread holds it), then runs `f` on it.
+    ///
+    /// Kept out of line: inlined into [`ShardedSketch::insert_batch`], its
+    /// one caller, it slowed batched inserts from 46–50 to 64–70 ns/key.
+    #[inline(never)]
     fn with_partitioned<K: Key>(&self, keys: &[K], f: impl FnOnce(&mut PartitionScratch)) {
         let mut local = PartitionScratch::default();
         let mut guard = self.scratch.try_lock().ok();
@@ -266,27 +295,22 @@ impl<SK: MultisetSketch> ShardedSketch<SK> {
     }
 
     /// Estimates every key, writing `out[i]` for `keys[i]` — results are
-    /// exactly per-key [`ShardedSketch::estimate`] calls. The batch is
-    /// partitioned once, each owning shard is read-locked once and queried
-    /// through its batch path ([`SketchReader::estimate_batch_picked_into`]),
-    /// and the answers are scattered back into input order. Steady-state
-    /// allocation-free (shared scratch + caller-reused `out`).
+    /// exactly per-key [`ShardedSketch::estimate`] calls. Every shard is
+    /// read-locked once, in ascending index order, and the guards are held
+    /// for the whole batch (DESIGN.md §4b: writers never hold two shard
+    /// locks, so this order cannot deadlock). The batch is then answered in
+    /// one pass in input order by [`SketchReader::estimate_routed_into`].
+    /// Steady-state allocation-free: the guards live in a stack array and
+    /// `out` is caller-reused.
     pub fn estimate_batch_into<K: Key>(&self, keys: &[K], out: &mut Vec<u64>) {
-        out.clear();
-        self.with_partitioned(keys, |scratch| {
-            scratch.vals.clear();
-            for s in 0..self.shards.len() {
-                let picks = &scratch.order[scratch.counts[s]..scratch.counts[s + 1]];
-                if !picks.is_empty() {
-                    let shard = lock_unpoisoned(self.shards[s].read());
-                    shard.estimate_batch_picked_into(keys, picks, &mut scratch.vals);
-                }
-            }
-            out.resize(keys.len(), 0);
-            for (pos, &i) in scratch.order.iter().enumerate() {
-                out[num::to_usize(i)] = scratch.vals[pos];
-            }
-        });
+        let guards: [Option<_>; MAX_SHARDS] =
+            std::array::from_fn(|i| self.shards.get(i).map(|s| lock_unpoisoned(s.read())));
+        let Some(first) = guards[0].as_deref() else {
+            unreachable!("a sharded sketch has at least one shard")
+        };
+        let shards: [&SK; MAX_SHARDS] =
+            std::array::from_fn(|i| guards[i].as_deref().unwrap_or(first));
+        SK::estimate_routed_into(&shards[..self.shards.len()], self.route_seed, keys, out);
     }
 
     /// Convenience form of [`ShardedSketch::estimate_batch_into`].
@@ -404,7 +428,7 @@ impl<SK: MultisetSketch> SketchReader for ShardedSketch<SK> {
     }
 
     fn estimate_batch_into<K: Key>(&self, keys: &[K], out: &mut Vec<u64>) {
-        // Route to the partition-once, one-read-lock-per-shard version.
+        // Route to the one-pass, one-read-lock-per-shard version.
         ShardedSketch::estimate_batch_into(self, keys, out);
     }
 
@@ -530,6 +554,12 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
         let _ = ShardedSketch::<MsSbf>::from_shards(Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 shards")]
+    fn shards_past_the_cap_rejected() {
+        let _ = ShardedSketch::with_shards(MAX_SHARDS + 1, |_| MsSbf::new(8, 1, 1));
     }
 
     #[test]

@@ -3,14 +3,17 @@
 //! the full update contract — both in single-item and batched form.
 //!
 //! The batched methods default to item-at-a-time loops. Only
-//! [`crate::MsSbf`] overrides them with the pipelined engines of
-//! [`crate::SbfCore`], and [`crate::ShardedSketch`] partitions a batch
-//! across its shards before handing each shard its picks; every other
-//! sketch answers a batch key by key, with the same results.
+//! [`crate::MsSbf`] overrides them with the batch engines of
+//! [`crate::SbfCore`]. [`crate::ShardedSketch`] hands a batched insert to
+//! each shard as that shard's picks, and answers a batched estimate in one
+//! routed pass over all its read-locked shards
+//! ([`SketchReader::estimate_routed_into`]). Every other sketch answers a
+//! batch key by key, with the same results.
 
 use sbf_hash::Key;
 
 use crate::num;
+use crate::sharded::route;
 use crate::store::RemoveError;
 
 /// Read-only multiplicity queries by `&self`.
@@ -32,8 +35,10 @@ use crate::store::RemoveError;
 /// returns **bit-identical** results to per-key [`SketchReader::estimate`].
 /// Two backends override it, only to go faster, never to change answers:
 /// [`crate::MsSbf`] (software-pipelined hashing with counter prefetch, or
-/// the SIMD lane pass) and [`crate::ShardedSketch`] (one lock acquisition
-/// per shard). Every other sketch answers with the per-key loop.
+/// the SIMD lane pass) and [`crate::ShardedSketch`] (every shard
+/// read-locked once per batch, and one routed pass through
+/// [`SketchReader::estimate_routed_into`]). Every other sketch answers with
+/// the per-key loop.
 pub trait SketchReader {
     /// Estimates the multiplicity `f̂_key`.
     fn estimate<K: Key + ?Sized>(&self, key: &K) -> u64;
@@ -60,20 +65,22 @@ pub trait SketchReader {
         out
     }
 
-    /// Estimates the keys selected by `picks` (indices into `keys`), in
-    /// pick order, **appending** one result per pick to `out` (not clearing
-    /// it — callers accumulate across several picked sub-batches).
+    /// Estimates every key of `keys` against `shards`, the read-locked
+    /// shards of a [`crate::ShardedSketch`] with router seed `route_seed`,
+    /// writing the results into `out` (cleared first; `out[i]` answers
+    /// `keys[i]` from the shard that owns it).
     ///
-    /// This is the indirection [`crate::ShardedSketch`] batches through: it
-    /// partitions a batch into per-shard pick lists once and hands each
-    /// shard its picks, so the scratch buffers hold plain indices rather
-    /// than borrowed keys. Results are exactly per-key
-    /// [`SketchReader::estimate`] calls.
-    fn estimate_batch_picked_into<K: Key>(&self, keys: &[K], picks: &[u32], out: &mut Vec<u64>) {
-        out.reserve(picks.len());
-        for &j in picks {
-            out.push(self.estimate(&keys[num::to_usize(j)]));
-        }
+    /// `shards` holds between 1 and [`crate::MAX_SHARDS`] sketches. Results
+    /// are exactly per-key [`SketchReader::estimate`] calls on the owning
+    /// shards, and that loop is the default. [`crate::MsSbf`] overrides it
+    /// with one routed pass when every shard shares one hash family.
+    fn estimate_routed_into<K: Key>(
+        shards: &[&Self],
+        route_seed: u64,
+        keys: &[K],
+        out: &mut Vec<u64>,
+    ) {
+        estimate_routed_per_key(shards, route_seed, keys, out);
     }
 
     /// Membership test: `f̂ > 0` (identical to a plain Bloom filter, §2.2).
@@ -141,10 +148,9 @@ pub trait MultisetSketch: SketchReader {
     }
 
     /// Adds one occurrence of each key selected by `picks` (indices into
-    /// `keys`), in pick order — the mutation-side counterpart of
-    /// [`SketchReader::estimate_batch_picked_into`], used by
-    /// [`crate::ShardedSketch`] to hand each shard its partition of a batch
-    /// without materialising per-shard key slices.
+    /// `keys`), in pick order — used by [`crate::ShardedSketch`] to hand
+    /// each shard its partition of a batch without materialising per-shard
+    /// key slices.
     fn insert_batch_picked<K: Key>(&mut self, keys: &[K], picks: &[u32]) {
         for &j in picks {
             self.insert(&keys[num::to_usize(j)]);
@@ -157,6 +163,22 @@ pub trait MultisetSketch: SketchReader {
     /// Removes one occurrence of `key`.
     fn remove<K: Key + ?Sized>(&mut self, key: &K) -> Result<(), RemoveError> {
         self.remove_by(key, 1)
+    }
+}
+
+/// The default body of [`SketchReader::estimate_routed_into`]: each key
+/// estimated by the shard that owns it, one key at a time.
+pub(crate) fn estimate_routed_per_key<R: SketchReader + ?Sized, K: Key>(
+    shards: &[&R],
+    route_seed: u64,
+    keys: &[K],
+    out: &mut Vec<u64>,
+) {
+    out.clear();
+    out.reserve(keys.len());
+    for key in keys {
+        let owner = route(key.canonical(), route_seed, shards.len());
+        out.push(shards[owner].estimate(key));
     }
 }
 

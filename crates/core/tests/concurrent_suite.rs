@@ -123,3 +123,84 @@ fn shared_mi_batches_stay_one_sided() {
         );
     }
 }
+
+/// A batched estimate holds every shard's read guard at once, taken in
+/// ascending index order, while writers lock one shard at a time. Two
+/// batched readers against two writers running `insert_batch` and `remove`
+/// across all four shards must finish (a lock-order cycle would hang them,
+/// and the watchdog turns that into a failure), and every estimate must
+/// cover the inserts acknowledged before its batch began.
+#[test]
+fn batched_estimates_against_writers_finish_and_stay_one_sided() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    const WRITERS: usize = 2;
+    const ROUNDS: u64 = 300;
+    const KEYS: u64 = 256;
+    let sketch = Arc::new(ShardedSketch::with_shards(4, |_| {
+        MsSbf::new(1 << 14, 5, 77)
+    }));
+    // Writer `t` inserts its own keys `t * KEYS..(t + 1) * KEYS` once per
+    // round and counts the round here once `insert_batch` has returned.
+    let acked: Arc<[AtomicU64; WRITERS]> = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+    let writers_done = Arc::new(AtomicBool::new(false));
+    let (done_tx, done_rx) = mpsc::channel();
+    let run = {
+        let (sketch, acked, writers_done) = (sketch.clone(), acked.clone(), writers_done.clone());
+        std::thread::spawn(move || {
+            std::thread::scope(|scope| {
+                let mut writers = Vec::new();
+                for (t, acked) in acked.iter().enumerate() {
+                    let sketch = &sketch;
+                    writers.push(scope.spawn(move || {
+                        let base = t as u64 * KEYS;
+                        let keys: Vec<u64> = (base..base + KEYS).collect();
+                        for round in 0..ROUNDS {
+                            sketch.insert_batch(&keys);
+                            acked.fetch_add(1, Ordering::Release);
+                            // Churn on keys of their own, across shards:
+                            // insert, then remove what was inserted.
+                            let churn = 1_000_000 + base + round % KEYS;
+                            sketch.insert_by(&churn, 2);
+                            sketch.remove(&churn).expect("churn key holds 2");
+                        }
+                    }));
+                }
+                for _ in 0..2 {
+                    let (sketch, acked, writers_done) = (&sketch, &acked, &writers_done);
+                    scope.spawn(move || {
+                        let keys: Vec<u64> = (0..WRITERS as u64 * KEYS).collect();
+                        let mut out = Vec::new();
+                        let mut batches = 0u32;
+                        while batches < 50 || !writers_done.load(Ordering::Acquire) {
+                            let floor: Vec<u64> =
+                                acked.iter().map(|a| a.load(Ordering::Acquire)).collect();
+                            sketch.estimate_batch_into(&keys, &mut out);
+                            for (&key, &est) in keys.iter().zip(&out) {
+                                let want = floor[(key / KEYS) as usize];
+                                assert!(est >= want, "key {key}: {est} < {want} acknowledged");
+                            }
+                            batches += 1;
+                        }
+                    });
+                }
+                for w in writers {
+                    w.join().expect("writer panicked");
+                }
+                writers_done.store(true, Ordering::Release);
+            });
+            done_tx.send(()).expect("watchdog is waiting");
+        })
+    };
+    // A panicking reader or writer drops the sender early; only a timeout
+    // means the threads are stuck.
+    if let Err(mpsc::RecvTimeoutError::Timeout) = done_rx.recv_timeout(Duration::from_secs(120)) {
+        panic!("batched readers and writers did not finish in 120 s: lock-order deadlock?");
+    }
+    run.join().expect("a reader or writer panicked");
+    for key in 0..WRITERS as u64 * KEYS {
+        assert!(sketch.estimate(&key) >= ROUNDS, "undercount for {key}");
+    }
+}

@@ -12,7 +12,10 @@
 //! 1. shard union under concurrent insert keeps the one-sided bound
 //!    f̂ ≥ f for keys fully inserted beforehand;
 //! 2. the telemetry enable gate is coherent and counter increments are
-//!    never lost.
+//!    never lost;
+//! 3. a batched estimate holding every shard's read guard (taken in
+//!    ascending order) against one writer per shard neither deadlocks nor
+//!    undercounts.
 //!
 //! Closures must be deterministic (the replay trail is positional), so
 //! the test bodies avoid anything schedule-dependent outside the model
@@ -73,6 +76,41 @@ fn telemetry_gate_is_coherent_and_counters_lose_nothing() {
         );
         assert_eq!(counter.get(), 3, "counter increment lost");
         sbf_telemetry::set_enabled(false);
+    });
+    assert!(report.complete, "state space must be exhausted");
+}
+
+/// A batched estimate holds both shards' read guards at once, taken in
+/// ascending order, against one writer per shard. Every interleaving must
+/// finish (the checker reports a deadlock as a failure) and keep f̂ ≥ f for
+/// the keys inserted before the threads started; after the joins, the
+/// writers' inserts are covered too.
+#[test]
+fn batched_estimate_against_one_writer_per_shard() {
+    let report = Checker::new().max_preemptions(2).check(|| {
+        let sketch = Arc::new(ShardedSketch::with_shards(2, |_| MsSbf::new(8, 1, 7)));
+        let owned_by = |s: usize| (0u64..).find(|k| sketch.shard_of(k) == s).unwrap();
+        let keys = [owned_by(0), owned_by(1)];
+        for key in &keys {
+            sketch.insert_by(key, 2);
+        }
+        let writers: Vec<_> = keys
+            .iter()
+            .map(|&key| {
+                let w = Arc::clone(&sketch);
+                thread::spawn(move || w.insert(&key))
+            })
+            .collect();
+        let ests = sketch.estimate_batch(&keys);
+        assert!(
+            ests.iter().all(|&e| e >= 2),
+            "batched estimate undercounted a fully-inserted key: {ests:?}"
+        );
+        for w in writers {
+            w.join().unwrap();
+        }
+        let ests = sketch.estimate_batch(&keys);
+        assert!(ests.iter().all(|&e| e >= 3), "joined insert lost: {ests:?}");
     });
     assert!(report.complete, "state space must be exhausted");
 }

@@ -13,8 +13,7 @@
 //! * **SSE2** — the x86-64 baseline (every x86-64 CPU has it), two 64-bit
 //!   lanes per `__m128i`, two passes per lane group.
 //! * **AVX2** — four 64-bit lanes per `__m256i`, selected at runtime via
-//!   `is_x86_feature_detected!`. AVX2 additionally provides the gathered
-//!   min-of-k kernel ([`min_gather_lanes`]) the batched estimate uses.
+//!   `is_x86_feature_detected!`.
 //!
 //! The active level is detected once and cached ([`simd_level`]); the
 //! `SBF_SIMD` environment variable (`scalar`, `sse2`, `avx2`) caps it at
@@ -56,7 +55,7 @@ pub enum SimdLevel {
     Scalar = 0,
     /// 128-bit x86-64 baseline vectors.
     Sse2 = 1,
-    /// 256-bit vectors plus gathered loads.
+    /// 256-bit vectors.
     Avx2 = 2,
 }
 
@@ -180,7 +179,7 @@ pub fn multiply_indexes_lanes_scalar(vs: [u64; LANES], alphas: &[u64], m: u64, o
 }
 
 /// Scalar reference for [`mix_reduce_lanes`]: one seeded `fmix64` +
-/// widening reduce per lane (the blocked family's block pick).
+/// widening reduce per lane (a block or shard pick).
 pub fn mix_reduce_lanes_scalar(vs: [u64; LANES], seed: u64, range: u64) -> [usize; LANES] {
     let mut out = [0usize; LANES];
     for (lane, &v) in vs.iter().enumerate() {
@@ -200,21 +199,6 @@ pub fn widen_counter(c: u32) -> u64 {
     } else {
         u64::from(c)
     }
-}
-
-/// Scalar reference for [`min_gather_lanes`]: per-lane min over the
-/// seed-major index block, widened by [`widen_counter`].
-pub fn min_gather_lanes_scalar(counters: &[u32], idx: &[usize], k: usize) -> [u64; LANES] {
-    let mut mins = [u32::MAX; LANES];
-    for i in 0..k {
-        for (lane, min) in mins.iter_mut().enumerate() {
-            let v = counters[idx[i * LANES + lane]];
-            if v < *min {
-                *min = v;
-            }
-        }
-    }
-    mins.map(widen_counter)
 }
 
 // ---------------------------------------------------------------------------
@@ -268,7 +252,8 @@ pub fn multiply_indexes_lanes(vs: [u64; LANES], alphas: &[u64], m: u64, out: &mu
 }
 
 /// Single-function lane kernel: `fmix64(vs[lane] ^ seed)` reduced onto
-/// `{0..range-1}` — the blocked family's first-level block pick.
+/// `{0..range-1}` — the blocked family's first-level block pick, and the
+/// shard router of the sharded batched estimate.
 #[inline]
 pub fn mix_reduce_lanes(vs: [u64; LANES], seed: u64, range: u64) -> [usize; LANES] {
     #[cfg(all(target_arch = "x86_64", target_pointer_width = "64"))]
@@ -284,45 +269,6 @@ pub fn mix_reduce_lanes(vs: [u64; LANES], seed: u64, range: u64) -> [usize; LANE
     mix_reduce_lanes_scalar(vs, seed, range)
 }
 
-/// Whether [`min_gather_lanes`] has a vector implementation at the current
-/// level (AVX2's gathered loads). Callers may use this to decide whether a
-/// lane-blocked estimate layout is worth staging.
-#[inline]
-pub fn gather_available() -> bool {
-    cfg!(all(target_arch = "x86_64", target_pointer_width = "64"))
-        && simd_level() == SimdLevel::Avx2
-}
-
-/// Per-lane min-of-k over a seed-major index block of 32-bit counter
-/// words: `result[lane] = widen_counter(min over i < k of
-/// counters[idx[i * LANES + lane]])`, so a lane whose minimum is stuck at
-/// `u32::MAX` reads `u64::MAX`.
-///
-/// `idx` must hold at least `k * LANES` entries; `k` must be ≥ 1. Indices
-/// are expected in `{0..counters.len()-1}` (the hash-family contract); the
-/// vector path *verifies* that before gathering — an out-of-range index
-/// (impossible for family-produced blocks, but this is a safe public API)
-/// falls back to the scalar loop and its bounds-checked panic semantics.
-#[inline]
-pub fn min_gather_lanes(counters: &[u32], idx: &[usize], k: usize) -> [u64; LANES] {
-    debug_assert!(k >= 1 && idx.len() >= k * LANES);
-    #[cfg(all(target_arch = "x86_64", target_pointer_width = "64"))]
-    if simd_level() == SimdLevel::Avx2 {
-        // Soundness gate for the unchecked gather: every index must be in
-        // range. Family-produced indices always are, so this max-scan is a
-        // predictable always-taken branch, not a per-element bounds check
-        // in the gather loop itself.
-        let max = idx[..k * LANES].iter().copied().max().unwrap_or(0);
-        if max < counters.len() {
-            // SAFETY: Avx2 was runtime-detected, and every index in
-            // `idx[..k*LANES]` was just verified `< counters.len()`, which
-            // is the gather kernel's documented precondition.
-            return unsafe { x86::min_gather_lanes_avx2(counters, idx, k) };
-        }
-    }
-    min_gather_lanes_scalar(counters, idx, k)
-}
-
 // ---------------------------------------------------------------------------
 // x86-64 kernels
 // ---------------------------------------------------------------------------
@@ -330,9 +276,8 @@ pub fn min_gather_lanes(counters: &[u32], idx: &[usize], k: usize) -> [u64; LANE
 #[cfg(all(target_arch = "x86_64", target_pointer_width = "64"))]
 mod x86 {
     //! The intrinsic bodies. Every function is `unsafe fn` with the
-    //! contract "the named target feature is available" (plus, for the
-    //! gather, "all indices are in range"); the dispatchers in the parent
-    //! module establish both.
+    //! contract "the named target feature is available"; the dispatchers in
+    //! the parent module establish it.
 
     use super::LANES;
     use std::arch::x86_64::*;
@@ -423,37 +368,6 @@ mod x86 {
         let idx = reduce_avx2(h, _mm256_set1_epi64x(range as i64));
         let mut out = [0usize; LANES];
         _mm256_storeu_si256(out.as_mut_ptr().cast(), idx);
-        out
-    }
-
-    /// Gathered per-lane min-of-k over 32-bit words, widened to `u64`.
-    /// Caller promises AVX2 and that every index in `idx[..k*LANES]` is
-    /// `< counters.len()`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn min_gather_lanes_avx2(
-        counters: &[u32],
-        idx: &[usize],
-        k: usize,
-    ) -> [u64; LANES] {
-        let ones = _mm_set1_epi32(-1); // u32::MAX per lane
-        let mut min = ones;
-        let base = counters.as_ptr().cast::<i32>();
-        for i in 0..k {
-            // SAFETY: `idx` holds ≥ k*LANES usize (u64 here) — in-bounds
-            // unaligned load; every gathered element address is
-            // `base + idx[..] * 4` with idx < counters.len() (caller
-            // contract), so the gather reads inside the slice.
-            let vidx = _mm256_loadu_si256(idx.as_ptr().add(i * LANES).cast());
-            let vals = _mm256_i64gather_epi32::<4>(base, vidx);
-            min = _mm_min_epu32(min, vals);
-        }
-        // Zero-extend each lane, then OR in the sign-extended all-ones mask
-        // of the stuck lanes, which widens a stuck `u32::MAX` to `u64::MAX`.
-        let stuck = _mm256_cvtepi32_epi64(_mm_cmpeq_epi32(min, ones));
-        let wide = _mm256_or_si256(_mm256_cvtepu32_epi64(min), stuck);
-        let mut out = [0u64; LANES];
-        // SAFETY: `out` is 4 u64s — exactly one __m256i, unaligned store.
-        _mm256_storeu_si256(out.as_mut_ptr().cast(), wide);
         out
     }
 
@@ -670,76 +584,6 @@ mod tests {
                     );
                 }
             }
-        }
-        set_simd_level(initial);
-    }
-
-    #[test]
-    fn min_gather_matches_scalar_at_every_level() {
-        let _g = test_level_lock();
-        let mut rng = SplitMix64::new(3);
-        // Random words, with stuck counters at 0..4 and words just below
-        // `u32::MAX` and around the sign bit at 4..8.
-        let mut counters: Vec<u32> = (0..1024).map(|_| rng.next_u64() as u32).collect();
-        counters[..8].copy_from_slice(&[
-            u32::MAX,
-            u32::MAX,
-            u32::MAX,
-            u32::MAX,
-            u32::MAX - 1,
-            u32::MAX - 2,
-            1 << 31,
-            (1 << 31) - 1,
-        ]);
-        let initial = simd_level();
-        for k in 1..=8usize {
-            let mut idx: Vec<usize> = (0..k * LANES)
-                .map(|_| rng.next_below(1024) as usize)
-                .collect();
-            let random = min_gather_lanes_scalar(&counters, &idx, k);
-            // Lane 0 probes only stuck counters, lane 1 stuck ones and the
-            // largest live word, lane 2 the words near the top and the
-            // sign bit; lane 3 stays random.
-            for i in 0..k {
-                idx[i * LANES] = i % 4;
-                idx[i * LANES + 1] = if i == k - 1 { 4 } else { i % 4 };
-                idx[i * LANES + 2] = 4 + i % 4;
-            }
-            let want = min_gather_lanes_scalar(&counters, &idx, k);
-            assert_eq!(want[0], u64::MAX, "k={k}");
-            assert_eq!(want[1], u64::from(u32::MAX - 1), "k={k}");
-            assert_eq!(
-                want[2],
-                [u32::MAX - 1, u32::MAX - 2, 1 << 31, (1 << 31) - 1][..k.min(4)]
-                    .iter()
-                    .map(|&c| u64::from(c))
-                    .min()
-                    .unwrap(),
-                "k={k}"
-            );
-            assert_eq!(want[3], random[3], "k={k}");
-            for level in [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2] {
-                set_simd_level(level);
-                assert_eq!(min_gather_lanes(&counters, &idx, k), want, "k={k}");
-            }
-        }
-        set_simd_level(initial);
-    }
-
-    #[test]
-    fn min_gather_handles_extreme_counter_values() {
-        let _g = test_level_lock();
-        // The unsigned-compare min must order words straddling the sign
-        // bit, and a stuck lane must widen to `u64::MAX` while the word
-        // just below it widens as itself.
-        let counters = vec![u32::MAX, u32::MAX - 1, 1u32 << 31, (1u32 << 31) - 1, 0, 5];
-        let idx: Vec<usize> = vec![0, 1, 2, 3, 0, 1, 3, 5];
-        let want = min_gather_lanes_scalar(&counters, &idx, 2);
-        assert_eq!(want, [u64::MAX, u64::from(u32::MAX - 1), (1 << 31) - 1, 5]);
-        let initial = simd_level();
-        for level in [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2] {
-            set_simd_level(level);
-            assert_eq!(min_gather_lanes(&counters, &idx, 2), want);
         }
         set_simd_level(initial);
     }

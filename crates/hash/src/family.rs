@@ -11,7 +11,10 @@ use crate::{IndexBuf, MAX_K};
 /// Families are value types: two families constructed with equal parameters
 /// (including the seed) produce identical indices, which is what makes the
 /// paper's distributed union (`C = C_1 + C_2`) and multiply operations sound.
-pub trait HashFamily: Clone {
+/// Equality is parameter equality: union and multiply check it, and a
+/// sharded batched estimate checks it before hashing every shard's keys
+/// with one family.
+pub trait HashFamily: Clone + PartialEq {
     /// Number of hash functions `k`.
     fn k(&self) -> usize;
 

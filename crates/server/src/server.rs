@@ -79,7 +79,8 @@ pub struct ServerConfig {
     pub k: usize,
     /// Hash seed; MERGE requires clients to match it.
     pub seed: u64,
-    /// Shards in the live sketch.
+    /// Shards in the live sketch, between 1 and
+    /// [`spectral_bloom::MAX_SHARDS`].
     pub shards: usize,
     /// Serving threads. Each runs its own reactor, owns the connections
     /// placed on it, and runs their jobs itself, so a job holds up only
@@ -182,6 +183,9 @@ impl ServerConfig {
         if self.shards == 0 {
             return Err(ConfigError::ZeroShards);
         }
+        if self.shards > spectral_bloom::MAX_SHARDS {
+            return Err(ConfigError::ShardsAboveMax);
+        }
         if self.workers == 0 {
             return Err(ConfigError::ZeroWorkers);
         }
@@ -219,10 +223,11 @@ impl ServerConfig {
 }
 
 /// A configuration the server refuses to start with. A zero geometry or
-/// more hash functions than the family supports would build no filter;
-/// timeouts of zero would mark every connection dead on arrival; zero
-/// capacities would serve nothing — all eleven are caller bugs worth
-/// naming, not values to silently clamp.
+/// more hash functions than the family supports, or more shards than a
+/// batched estimate can hold, would build no filter; timeouts of zero would
+/// mark every connection dead on arrival; zero capacities would serve
+/// nothing — all twelve are caller bugs worth naming, not values to
+/// silently clamp.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ConfigError {
@@ -234,6 +239,9 @@ pub enum ConfigError {
     KAboveMax,
     /// `shards` was zero — the live sketch needs at least one shard.
     ZeroShards,
+    /// `shards` exceeded [`spectral_bloom::MAX_SHARDS`], the most a
+    /// batched estimate holds read guards for.
+    ShardsAboveMax,
     /// `workers` was zero — no reactor thread would serve a connection.
     ZeroWorkers,
     /// `read_timeout` was `Some(0)`; use `None` to wait forever.
@@ -257,6 +265,9 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroK => write!(f, "k must be at least 1"),
             ConfigError::KAboveMax => write!(f, "k must be at most {}", sbf_hash::MAX_K),
             ConfigError::ZeroShards => write!(f, "shards must be at least 1"),
+            ConfigError::ShardsAboveMax => {
+                write!(f, "shards must be at most {}", spectral_bloom::MAX_SHARDS)
+            }
             ConfigError::ZeroWorkers => write!(f, "workers must be at least 1"),
             ConfigError::ZeroReadTimeout => {
                 write!(f, "read_timeout must be nonzero (use None to wait forever)")
@@ -1364,6 +1375,17 @@ mod tests {
             ServerConfig::builder().shards(0).build().unwrap_err(),
             ConfigError::ZeroShards
         );
+        assert_eq!(
+            ServerConfig::builder()
+                .shards(spectral_bloom::MAX_SHARDS + 1)
+                .build()
+                .unwrap_err(),
+            ConfigError::ShardsAboveMax
+        );
+        assert!(ServerConfig::builder()
+            .shards(spectral_bloom::MAX_SHARDS)
+            .build()
+            .is_ok());
         assert_eq!(
             ServerConfig::builder().workers(0).build().unwrap_err(),
             ConfigError::ZeroWorkers

@@ -1,8 +1,13 @@
 //! Batch/single equivalence: every backend's `insert_batch` /
 //! `estimate_batch` must be **bit-identical** to the item-at-a-time loop —
-//! the pipelined Minimum Selection engines and the sharded partition are
-//! allowed to go faster, never to answer differently. The MI and RM
-//! properties pin the trait's default item loops to the same contract.
+//! the pipelined Minimum Selection engines, the sharded insert partition
+//! and the sharded estimate's one routed pass are allowed to go faster,
+//! never to answer differently. The MI and RM properties pin the trait's
+//! default item loops to the same contract.
+//!
+//! Sharded sketches come in two shapes. Shards seeded `seed ^ i` hash
+//! differently, so their batched estimates take the per-key loop; shards
+//! sharing one hash family (the served shape) take the one routed pass.
 //!
 //! The `simd_*` properties extend the contract across dispatch levels:
 //! the same batch answered with the dispatch level forced to
@@ -51,6 +56,12 @@ fn assert_queries_equiv<S: SketchReader>(a: &S, b: &S, keys: &[u64]) {
     let singles_b: Vec<u64> = probes.iter().map(|k| b.estimate(k)).collect();
     assert_eq!(batched_a, singles_b);
     assert_eq!(a.total_count(), b.total_count());
+}
+
+/// `n` Minimum Selection shards sharing one hash family — the shape `sbfd`
+/// serves, whose batched estimates take the one routed pass.
+fn same_family_shards(n: usize, seed: u64) -> ShardedSketch<MsSbf> {
+    ShardedSketch::with_shards(n, |_| MsSbf::new(1 << 11, 4, seed))
 }
 
 /// Serialises tests that toggle the process-global SIMD dispatch level so
@@ -159,7 +170,24 @@ proptest! {
         assert_queries_equiv(&a, &b, &keys);
     }
 
-    /// SIMD vs scalar, plain MS store — the gathered-min kernel path.
+    /// Sharded shards of one hash family: the one routed pass must equal
+    /// key-at-a-time routing at every shard count up to an odd 7.
+    #[test]
+    fn sharded_same_family(
+        keys in prop::collection::vec(0u64..500, 0..400),
+        seed in any::<u64>(),
+        shards in prop_oneof![Just(1usize), Just(2usize), Just(3usize), Just(4usize), Just(7usize)],
+    ) {
+        let a = same_family_shards(shards, seed);
+        let b = same_family_shards(shards, seed);
+        for key in &keys {
+            a.insert(key);
+        }
+        b.insert_batch(&keys);
+        assert_queries_equiv(&a, &b, &keys);
+    }
+
+    /// SIMD vs scalar, plain MS store — the minimum engine's lane pass.
     #[test]
     fn simd_ms(keys in prop::collection::vec(0u64..500, 0..400), seed in any::<u64>()) {
         let mut s = MsSbf::new(1 << 12, 4, seed);
@@ -186,5 +214,56 @@ proptest! {
         let s = ShardedSketch::with_shards(shards, |i| MsSbf::new(1 << 11, 4, seed ^ i as u64));
         s.insert_batch(&keys);
         assert_simd_scalar_equiv(&s, &keys);
+    }
+
+    /// SIMD vs scalar through the one routed pass over shards of one hash
+    /// family.
+    #[test]
+    fn simd_sharded_same_family(
+        keys in prop::collection::vec(0u64..500, 0..400),
+        seed in any::<u64>(),
+        shards in prop_oneof![Just(1usize), Just(2usize), Just(3usize), Just(4usize), Just(7usize)],
+    ) {
+        let s = same_family_shards(shards, seed);
+        s.insert_batch(&keys);
+        assert_simd_scalar_equiv(&s, &keys);
+    }
+}
+
+/// The one routed pass at batch lengths either side of the lane-group and
+/// tail boundaries (0–9 and 1,023–1,025), at every dispatch level, with
+/// one key whose counters are stuck at `u32::MAX`: it must read `u64::MAX`
+/// in every position of the batch.
+#[test]
+fn sharded_same_family_across_lane_and_tail_boundaries() {
+    const STUCK: u64 = 1_000_003;
+    let _guard = SIMD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let full = sbf_hash::simd_level();
+    for shards in [1usize, 2, 3, 4, 7] {
+        let s = same_family_shards(shards, 0xfeed);
+        s.insert_batch(&(0..3000u64).collect::<Vec<_>>());
+        s.insert_by(&STUCK, u64::MAX);
+        assert_eq!(s.estimate(&STUCK), u64::MAX, "shards={shards}");
+        for len in (0..=9).chain(1023..=1025) {
+            let probes: Vec<u64> = (0..len as u64)
+                .map(|i| if i % 5 == 2 { STUCK } else { i * 37 % 4000 })
+                .collect();
+            let singles: Vec<u64> = probes.iter().map(|k| s.estimate(k)).collect();
+            for level in [
+                sbf_hash::SimdLevel::Avx2,
+                sbf_hash::SimdLevel::Sse2,
+                sbf_hash::SimdLevel::Scalar,
+            ] {
+                let level = sbf_hash::set_simd_level(level);
+                let batched = s.estimate_batch(&probes);
+                assert_eq!(batched, singles, "shards={shards} len={len} {level:?}");
+                for (i, &est) in batched.iter().enumerate() {
+                    if probes[i] == STUCK {
+                        assert_eq!(est, u64::MAX, "shards={shards} len={len} at {i}");
+                    }
+                }
+            }
+            sbf_hash::set_simd_level(full);
+        }
     }
 }
