@@ -1,21 +1,14 @@
 //! The one place length-prefixed encoding narrows to `u32`.
 //!
-//! Three encoders in the workspace frame variable-length bytes behind a
-//! `u32` length field: the `sbfd` wire protocol (`sbf-server::proto`),
-//! the WAL record grammar ([`crate::logrec`]), and the filter envelope
-//! ([`crate::wire`]). Before this module each carried its own checked
-//! narrowing (or none — the original bug class was a payload past
-//! `u32::MAX` whose `as u32` cast silently wrapped, emitting a frame whose
-//! header lies about its own length and desynchronizes every later field
-//! on the stream). Now the narrowing lives in exactly one function,
-//! [`u32_len`], and every fallible encoder implements one trait,
-//! [`WireEncode`], so "can this value describe its own length?" has a
-//! single answer and a single error type.
-//!
-//! Infallible encoders (the filter envelope frames counter *counts* as
-//! `u64`, so no narrowing ever happens) implement the same trait and
-//! simply never return the error — callers compose both kinds without
-//! caring which they hold.
+//! Two encoders in the workspace frame variable-length bytes behind a
+//! `u32` length field: the `sbfd` wire protocol (`sbf-server::proto`) and
+//! the WAL record grammar ([`crate::logrec`]). A length past `u32::MAX`
+//! whose `as u32` cast silently wrapped would emit a frame whose header
+//! lies about its own length and desynchronizes every later field on the
+//! stream. So both narrow through one function, [`u32_len`], which fails
+//! with one error type, [`EncodeError`], instead of wrapping. (The filter
+//! envelope, [`crate::wire`], frames its counter count as `u64` and never
+//! narrows.)
 
 /// Why a value could not be encoded into its wire form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,9 +31,9 @@ impl std::error::Error for EncodeError {}
 
 /// The workspace's single checked `usize → u32` length narrowing.
 ///
-/// Every length prefix written by a [`WireEncode`] implementation goes
-/// through here; there is deliberately no other `as u32`/`try_u32` on an
-/// encode path, so the wrap-on-overflow bug class has one chokepoint.
+/// Every `u32` length prefix the encoders write goes through here; there
+/// is deliberately no other `as u32`/`try_u32` on an encode path, so the
+/// wrap-on-overflow bug class has one chokepoint.
 #[inline]
 pub fn u32_len(len: usize) -> Result<u32, EncodeError> {
     u32::try_from(len).map_err(|_| EncodeError::Oversized)
@@ -56,26 +49,6 @@ pub fn put_lstring(buf: &mut Vec<u8>, bytes: &[u8]) -> Result<(), EncodeError> {
     buf.extend_from_slice(&len.to_le_bytes());
     buf.extend_from_slice(bytes);
     Ok(())
-}
-
-/// A value with a canonical byte encoding behind `u32` length framing.
-///
-/// Implementations must be *deterministic* (same value, same bytes) and
-/// must fail with [`EncodeError::Oversized`] — never wrap, never truncate —
-/// when a length field cannot represent its payload. Infallible encoders
-/// implement the trait and always return `Ok`.
-pub trait WireEncode {
-    /// Appends this value's encoded form to `out`. On error, `out` may
-    /// hold a partial prefix; callers that need all-or-nothing should
-    /// encode into a scratch buffer ([`WireEncode::encode_vec`]).
-    fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), EncodeError>;
-
-    /// Encodes into a fresh buffer.
-    fn encode_vec(&self) -> Result<Vec<u8>, EncodeError> {
-        let mut out = Vec::new();
-        self.encode_into(&mut out)?;
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -95,17 +68,5 @@ mod tests {
         put_lstring(&mut buf, b"abc").unwrap();
         assert_eq!(&buf[..4], &3u32.to_le_bytes());
         assert_eq!(&buf[4..], b"abc");
-    }
-
-    #[test]
-    fn encode_vec_defaults_to_encode_into() {
-        struct Tag(u8);
-        impl WireEncode for Tag {
-            fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), EncodeError> {
-                out.push(self.0);
-                Ok(())
-            }
-        }
-        assert_eq!(Tag(7).encode_vec().unwrap(), vec![7]);
     }
 }

@@ -13,8 +13,8 @@
 //!   site-to-site transfers (the currency Bloomjoins optimize),
 //! * [`wire`] — compact wire encoding of SBF counter vectors (Elias δ), so
 //!   the "filter as a message" scenario of §4.7.1 is exercised end-to-end,
-//! * [`framing`] — the shared [`framing::WireEncode`] trait and the single
-//!   checked `u32` length narrowing every encoder above routes through,
+//! * [`framing`] — the single checked `u32` length narrowing the wire
+//!   protocol and the log records route through,
 //! * [`logrec`] — CRC-framed log records layered on the wire encoding, the
 //!   on-disk grammar of the `sbfd` write-ahead log,
 //! * [`join`] — three distributed join/aggregation strategies over two
@@ -47,7 +47,7 @@ pub mod wire;
 pub use bifocal::{bifocal_estimate, exact_join_size, BifocalConfig};
 pub use cache::{AttenuatedFilter, CacheNode, SbfCacheNode, SummaryCacheCluster};
 pub use diff_file::GuardedStore;
-pub use framing::{EncodeError, WireEncode};
+pub use framing::EncodeError;
 pub use hashtable::ChainedHashTable;
 pub use join::{
     bloomjoin, multiway_spectral_join, ship_all_join, spectral_bloomjoin,

@@ -24,7 +24,7 @@
 //! built at compile time — no external crate, per the workspace's
 //! no-network-registry constraint.
 
-use crate::framing::{u32_len, EncodeError, WireEncode};
+use crate::framing::{u32_len, EncodeError};
 use spectral_bloom::num::try_usize;
 
 /// CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup table,
@@ -93,39 +93,6 @@ impl From<EncodeError> for LogRecError {
     }
 }
 
-/// A borrowed WAL record payload, viewed as a [`WireEncode`] value.
-///
-/// Encoding emits the full on-disk record — `len`, `crc`, payload — with
-/// the length narrowing routed through [`crate::framing::u32_len`], the
-/// workspace's single checked narrowing site.
-#[derive(Debug, Clone, Copy)]
-pub struct LogRecord<'a> {
-    payload: &'a [u8],
-}
-
-impl<'a> LogRecord<'a> {
-    /// Wraps `payload` (the bytes of a wire frame after its length prefix).
-    pub fn new(payload: &'a [u8]) -> Self {
-        LogRecord { payload }
-    }
-
-    /// The wrapped payload bytes.
-    pub fn payload(&self) -> &'a [u8] {
-        self.payload
-    }
-}
-
-impl WireEncode for LogRecord<'_> {
-    fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), EncodeError> {
-        let len = u32_len(self.payload.len())?;
-        out.reserve(RECORD_HEADER_LEN + self.payload.len());
-        out.extend_from_slice(&len.to_le_bytes());
-        out.extend_from_slice(&crc32(self.payload).to_le_bytes());
-        out.extend_from_slice(self.payload);
-        Ok(())
-    }
-}
-
 /// Appends one framed record (`len`, `crc`, payload) to `buf`.
 ///
 /// Fails only if the payload cannot fit a `u32` length field — the
@@ -133,7 +100,11 @@ impl WireEncode for LogRecord<'_> {
 /// so an absurd payload is an error instead of a record that lies about its
 /// own length (satellite 3's bug class).
 pub fn append_record(buf: &mut Vec<u8>, payload: &[u8]) -> Result<(), LogRecError> {
-    LogRecord::new(payload).encode_into(buf)?;
+    let len = u32_len(payload.len())?;
+    buf.reserve(RECORD_HEADER_LEN + payload.len());
+    buf.extend_from_slice(&len.to_le_bytes());
+    buf.extend_from_slice(&crc32(payload).to_le_bytes());
+    buf.extend_from_slice(payload);
     Ok(())
 }
 
@@ -365,15 +336,6 @@ mod tests {
         assert_eq!(scan.next(), Some(&b"ok"[..]));
         assert_eq!(scan.next(), None);
         assert_eq!(scan.tail(), TailStatus::Torn(TornReason::TruncatedPayload));
-    }
-
-    #[test]
-    fn logrecord_trait_and_append_record_agree() {
-        let mut via_fn = Vec::new();
-        append_record(&mut via_fn, b"payload").unwrap();
-        let via_trait = LogRecord::new(b"payload").encode_vec().unwrap();
-        assert_eq!(via_fn, via_trait);
-        assert_eq!(LogRecord::new(b"payload").payload(), b"payload");
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! paper's precondition for union/multiply is that both sites already
 //! agreed on `(m, k, seed)`.
 
-use crate::framing::{EncodeError, WireEncode};
 use sbf_bitvec::{BitSource, ByteReader, ByteWriter};
 use sbf_encoding::{Codec, DecodeSink, EliasDelta};
 
@@ -240,50 +239,20 @@ pub fn encode_envelope(
     seed: u64,
     counters: impl ExactSizeIterator<Item = u64>,
 ) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_envelope_into(kind, k, seed, counters, &mut out);
-    out
-}
-
-fn encode_envelope_into(
-    kind: FilterKind,
-    k: u32,
-    seed: u64,
-    counters: impl ExactSizeIterator<Item = u64>,
-    out: &mut Vec<u8>,
-) {
-    out.reserve(18);
+    let mut out = Vec::with_capacity(18);
     out.extend_from_slice(&0x5BF0_CAFEu32.to_le_bytes()); // magic
     out.push(1); // version
     out.push(kind.to_byte());
     out.extend_from_slice(&k.to_le_bytes());
     out.extend_from_slice(&seed.to_le_bytes());
-    encode_counters_into(counters, out);
-}
-
-impl WireEncode for FilterEnvelope {
-    /// Infallible arm of the shared encode trait: the envelope frames its
-    /// counter *count* as `u64`, so no `u32` narrowing ever happens and
-    /// this never returns [`EncodeError`].
-    fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), EncodeError> {
-        encode_envelope_into(
-            self.kind,
-            self.k,
-            self.seed,
-            self.counters.iter().copied(),
-            out,
-        );
-        Ok(())
-    }
+    encode_counters_into(counters, &mut out);
+    out
 }
 
 impl FilterEnvelope {
     /// Serializes: magic, version, kind, k, seed, then the counter frame.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        // Infallible by construction (see the `WireEncode` impl above).
-        let _ = self.encode_into(&mut buf);
-        buf
+        encode_envelope(self.kind, self.k, self.seed, self.counters.iter().copied())
     }
 
     /// Deserializes, validating magic/version/kind and the counter frame.
@@ -375,17 +344,6 @@ mod tests {
         };
         let frame = env.encode();
         assert_eq!(FilterEnvelope::decode(&frame).unwrap(), env);
-    }
-
-    #[test]
-    fn envelope_trait_encode_matches_inherent_encode() {
-        let env = FilterEnvelope {
-            kind: FilterKind::MinimalIncrease,
-            k: 4,
-            seed: 99,
-            counters: (0..128).map(|i| i % 7).collect(),
-        };
-        assert_eq!(env.encode_vec().unwrap(), env.encode());
     }
 
     #[test]

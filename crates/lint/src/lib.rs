@@ -4,14 +4,12 @@
 //!
 //! The engine is a hand-rolled Rust [lexer] (raw/byte strings, nested
 //! block comments, lifetimes vs. char literals), a lightweight
-//! [use-path resolver](resolver), and five project-invariant [passes]:
+//! [use-path resolver](resolver), and three project-invariant [passes]:
 //!
 //! | pass | invariant |
 //! |------|-----------|
 //! | `sync-facade` | `std::sync::{atomic, Mutex, RwLock, Condvar}` only via `sync.rs` facades |
 //! | `ordering-audit` | every `Ordering::` use site blessed in `crates/lint/ordering_audit.toml` |
-//! | `lock-order` | no cycles in the global lock-acquisition order |
-//! | `wire-protocol` | opcodes/`ErrorCode`/variants agree across proto, client, dispatch, recovery, DESIGN.md |
 //! | `metric-names` | telemetry names unique, grammatical, documented |
 //!
 //! It runs as `cargo run -p sbf-lint -- --deny-all` and as the tier-1
@@ -44,7 +42,7 @@ pub struct LintConfig {
     /// Path prefixes exempt from the sync-facade pass (the modelcheck
     /// crate names `std::sync` by design). `*/sync.rs` is always exempt.
     pub facade_exempt: Vec<String>,
-    /// Path prefixes exempt from ordering-audit and lock-order.
+    /// Path prefixes exempt from ordering-audit.
     pub ordering_exempt: Vec<String>,
     /// Path prefixes exempt from the metric-name pass.
     pub metric_exempt: Vec<String>,
@@ -56,15 +54,6 @@ pub struct LintConfig {
     pub design_path: Option<PathBuf>,
     /// How the design doc is printed in diagnostics.
     pub design_rel: String,
-    /// Protocol definition file (workspace-relative); `None` skips the
-    /// wire-protocol pass.
-    pub proto_rel: Option<String>,
-    /// Client files that must speak the whole protocol.
-    pub client_rels: Vec<String>,
-    /// Dispatch files whose union must match every request.
-    pub dispatch_rels: Vec<String>,
-    /// WAL replay file that must decode via the protocol.
-    pub recovery_rel: Option<String>,
     /// Allowed metric-name prefixes.
     pub metric_prefixes: Vec<String>,
 }
@@ -87,13 +76,6 @@ impl LintConfig {
             manifest_rel: "crates/lint/ordering_audit.toml".into(),
             design_path: Some(root.join("DESIGN.md")),
             design_rel: "DESIGN.md".into(),
-            proto_rel: Some("crates/server/src/proto.rs".into()),
-            client_rels: vec!["crates/server/src/client.rs".into()],
-            dispatch_rels: vec![
-                "crates/server/src/server.rs".into(),
-                "crates/server/src/reactor/conn.rs".into(),
-            ],
-            recovery_rel: Some("crates/server/src/recovery.rs".into()),
             metric_prefixes: vec!["sbf_".into(), "sbfd_".into()],
         }
     }
@@ -106,8 +88,6 @@ pub type PassFn = fn(&Workspace, &LintConfig) -> Vec<Diagnostic>;
 pub const PASSES: &[(&str, PassFn)] = &[
     ("sync-facade", passes::sync_facade::run),
     ("ordering-audit", passes::ordering_audit::run),
-    ("lock-order", passes::lock_order::run),
-    ("wire-protocol", passes::wire_protocol::run),
     ("metric-names", passes::metric_names::run),
 ];
 

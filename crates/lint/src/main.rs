@@ -4,11 +4,11 @@
 //! ```text
 //! cargo run -p sbf-lint -- --deny-all
 //! cargo run -p sbf-lint -- --deny-all --cfg sbf_modelcheck
-//! cargo run -p sbf-lint -- --pass lock-order --emit-lock-graph
+//! cargo run -p sbf-lint -- --pass ordering-audit
 //! cargo run -p sbf-lint -- --emit-ordering-manifest   # bless skeleton
 //! ```
 
-use sbf_lint::passes::{lock_order, ordering_audit};
+use sbf_lint::passes::ordering_audit;
 use sbf_lint::workspace::Workspace;
 use sbf_lint::{find_workspace_root, manifest, run_selected, LintConfig};
 use std::path::PathBuf;
@@ -20,7 +20,6 @@ fn main() -> ExitCode {
     let mut modelcheck = false;
     let mut passes: Vec<String> = Vec::new();
     let mut emit_manifest = false;
-    let mut emit_lock_graph = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -40,7 +39,6 @@ fn main() -> ExitCode {
                 }
             }
             "--emit-ordering-manifest" => emit_manifest = true,
-            "--emit-lock-graph" => emit_lock_graph = true,
             "--help" | "-h" => {
                 print_help();
                 return ExitCode::SUCCESS;
@@ -64,7 +62,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
 
-    if emit_manifest || emit_lock_graph {
+    if emit_manifest {
         let ws = match Workspace::load(&root) {
             Ok(ws) => ws,
             Err(e) => {
@@ -73,28 +71,18 @@ fn main() -> ExitCode {
             }
         };
         let cfg = LintConfig::for_workspace(&root, modelcheck);
-        if emit_manifest {
-            let entries: Vec<manifest::SiteEntry> = ordering_audit::collect_sites(&ws, &cfg)
-                .into_iter()
-                .map(|g| manifest::SiteEntry {
-                    file: g.file,
-                    func: g.func,
-                    ordering: g.ordering,
-                    count: g.count,
-                    invariant: String::new(),
-                    line: 0,
-                })
-                .collect();
-            print!("{}", manifest::render(&entries));
-        }
-        if emit_lock_graph {
-            for e in lock_order::collect_edges(&ws, &cfg) {
-                println!(
-                    "{} -> {}  [{}]  at {}:{}:{}",
-                    e.from, e.to, e.via, e.file, e.line, e.col
-                );
-            }
-        }
+        let entries: Vec<manifest::SiteEntry> = ordering_audit::collect_sites(&ws, &cfg)
+            .into_iter()
+            .map(|g| manifest::SiteEntry {
+                file: g.file,
+                func: g.func,
+                ordering: g.ordering,
+                count: g.count,
+                invariant: String::new(),
+                line: 0,
+            })
+            .collect();
+        print!("{}", manifest::render(&entries));
         return ExitCode::SUCCESS;
     }
 
@@ -133,14 +121,13 @@ fn print_help() {
         "sbf-lint — workspace static analysis\n\
          \n\
          USAGE: sbf-lint [--root <dir>] [--deny-all] [--cfg sbf_modelcheck]\n\
-         \u{20}                [--pass <name>]... [--emit-ordering-manifest] [--emit-lock-graph]\n\
+         \u{20}                [--pass <name>]... [--emit-ordering-manifest]\n\
          \n\
-         Passes: sync-facade, ordering-audit, lock-order, wire-protocol, metric-names\n\
+         Passes: sync-facade, ordering-audit, metric-names\n\
          \n\
          --deny-all                exit non-zero if any diagnostic is produced\n\
          --cfg sbf_modelcheck      analyze the model-checking source view\n\
          --pass <name>             run only the named pass (repeatable)\n\
-         --emit-ordering-manifest  print a manifest skeleton for the current tree\n\
-         --emit-lock-graph         print the lock-order edges and witnesses"
+         --emit-ordering-manifest  print a manifest skeleton for the current tree"
     );
 }

@@ -1,4 +1,4 @@
-//! Pass 5: metric-name registry.
+//! Pass 3: metric-name registry.
 //!
 //! Every metric registered through `sbf-telemetry` —
 //! `registry.counter("…")`, `.gauge("…")`, `.histogram("…")` — must

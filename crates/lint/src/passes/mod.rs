@@ -5,8 +5,6 @@
 //! resolver, and cfg-view machinery and keep no global state, so the
 //! fixture harness can run any pass against a miniature source tree.
 
-pub mod lock_order;
 pub mod metric_names;
 pub mod ordering_audit;
 pub mod sync_facade;
-pub mod wire_protocol;

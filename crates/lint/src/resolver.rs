@@ -390,11 +390,6 @@ impl FnSpans {
             .max_by_key(|(open, _, _)| *open)
             .map(|(_, _, name)| name.as_str())
     }
-
-    /// Iterates `(open, close, name)` body spans in source order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, &str)> {
-        self.spans.iter().map(|(o, c, n)| (*o, *c, n.as_str()))
-    }
 }
 
 #[cfg(test)]

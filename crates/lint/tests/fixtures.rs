@@ -37,10 +37,6 @@ fn base_config() -> LintConfig {
         manifest_rel: "manifest.toml".into(),
         design_path: None,
         design_rel: "design.md".into(),
-        proto_rel: None,
-        client_rels: vec![],
-        dispatch_rels: vec![],
-        recovery_rel: None,
         metric_prefixes: vec!["sbf_".into(), "sbfd_".into()],
     }
 }
@@ -205,82 +201,6 @@ fn removing_any_real_manifest_entry_flips_the_audit() {
             entries[i].func
         );
     }
-}
-
-#[test]
-fn lock_order_fixture_catches_both_seeded_cycles() {
-    let dir = fixture_dir("lock_order");
-    let ws = Workspace::load_dir(&dir).unwrap();
-    let cfg = base_config();
-    let diags = passes::lock_order::run(&ws, &cfg);
-    assert_expected(&ws, &diags);
-    assert_eq!(
-        diags.len(),
-        2,
-        "one AB/BA cycle and one via-callee cycle:\n{}",
-        render(&diags)
-    );
-}
-
-#[test]
-fn scrambled_lock_order_flips_the_verdict() {
-    // The clean corpus (same shapes, consistent order, drop/scope
-    // releases honoured) must produce nothing; the seeded corpus is the
-    // scrambled variant and must fail.
-    let cfg = base_config();
-    let clean = Workspace::load_dir(&fixture_dir("lock_order_clean")).unwrap();
-    let clean_diags = passes::lock_order::run(&clean, &cfg);
-    assert!(
-        clean_diags.is_empty(),
-        "clean lock fixture wrongly flagged:\n{}",
-        render(&clean_diags)
-    );
-    let seeded = Workspace::load_dir(&fixture_dir("lock_order")).unwrap();
-    assert!(!passes::lock_order::run(&seeded, &cfg).is_empty());
-}
-
-#[test]
-fn wire_fixture_catches_client_dispatch_recovery_and_doc_drift() {
-    let dir = fixture_dir("wire");
-    let ws = Workspace::load_dir(&dir).unwrap();
-    let mut cfg = base_config();
-    cfg.proto_rel = Some("proto.rs".into());
-    cfg.client_rels = vec!["client.rs".into()];
-    cfg.dispatch_rels = vec!["dispatch.rs".into()];
-    cfg.recovery_rel = Some("recovery.rs".into());
-    cfg.design_path = Some(dir.join("design.md"));
-    let diags = passes::wire_protocol::run(&ws, &cfg);
-    assert_expected(&ws, &diags);
-    assert!(
-        diags.iter().any(|d| d
-            .message
-            .contains("`RequestRef::Peek` has no `Request` counterpart")),
-        "missing the extra-view-variant diagnostic:\n{}",
-        render(&diags)
-    );
-    let design: Vec<_> = diags
-        .iter()
-        .filter(|d| d.path.to_string_lossy() == "design.md")
-        .collect();
-    for needle in [
-        "`OP_FLUSH` (0x02) is not in the DESIGN.md",
-        "`OP_OK` (0x80) is not in the DESIGN.md",
-        "`OP_STATS` (0x03) that the protocol does not define",
-        "ErrorCode::Io is missing",
-        "`Oversized` that `ErrorCode` does not define",
-    ] {
-        assert!(
-            design.iter().any(|d| d.message.contains(needle)),
-            "missing design diagnostic {needle:?}:\n{}",
-            render(&diags)
-        );
-    }
-    assert_eq!(
-        design.len(),
-        5,
-        "exactly the seeded doc drift:\n{}",
-        render(&diags)
-    );
 }
 
 #[test]

@@ -38,26 +38,10 @@
 //! | `sbfd_repl_lag_bytes` | gauge | mutation bytes applied locally but not yet replicated (reset to zero by a resync) |
 //! | `sbfd_repl_resyncs_total` | counter | replica links (re)established via snapshot bootstrap |
 
+use crate::proto::LABELS;
 use crate::sync::{Arc, OnceLock};
 
 use sbf_telemetry::{Counter, Gauge, Histogram};
-
-/// Per-command request counters, indexed by [`op_slot`].
-const OPS: [&str; 13] = [
-    "ping",
-    "insert",
-    "remove",
-    "estimate",
-    "insert_batch",
-    "estimate_batch",
-    "merge",
-    "hello",
-    "join_plan",
-    "join_filter",
-    "snapshot",
-    "stats",
-    "shutdown",
-];
 
 /// Handles to every metric this crate publishes (see the module table).
 #[derive(Debug)]
@@ -66,7 +50,7 @@ pub struct ServerMetrics {
     pub connections: Arc<Counter>,
     /// `sbfd_connections_active`.
     pub connections_active: Arc<Gauge>,
-    /// `sbfd_requests_total{op="…"}`, one handle per command in `OPS` order.
+    /// `sbfd_requests_total{op="…"}`, one handle per command in opcode order.
     pub requests: Vec<Arc<Counter>>,
     /// `sbfd_request_latency_ns`.
     pub request_latency_ns: Arc<Histogram>,
@@ -119,11 +103,11 @@ pub struct ServerMetrics {
 }
 
 impl ServerMetrics {
-    /// The request counter for a command name from
-    /// [`crate::proto::Request::op_name`]; unknown names fall back to slot
+    /// The request counter for a command label from
+    /// [`crate::proto::RequestRef::label`]; unknown names fall back to slot
     /// 0 (cannot happen for decoded requests).
     pub fn requests_for(&self, op: &str) -> &Counter {
-        let slot = OPS.iter().position(|&o| o == op).unwrap_or(0);
+        let slot = LABELS.iter().position(|&o| o == op).unwrap_or(0);
         &self.requests[slot]
     }
 }
@@ -139,7 +123,7 @@ pub fn server_metrics() -> &'static ServerMetrics {
         ServerMetrics {
             connections: reg.counter("sbfd_connections_total"),
             connections_active: reg.gauge("sbfd_connections_active"),
-            requests: OPS
+            requests: LABELS
                 .iter()
                 .map(|op| reg.counter(&format!("sbfd_requests_total{{op=\"{op}\"}}")))
                 .collect(),

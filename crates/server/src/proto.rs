@@ -28,7 +28,7 @@
 //! size), return [`ProtoError`] instead of panicking, and are fuzzed in
 //! `tests/wire_adversarial.rs` alongside the counter decoder.
 
-use sbf_db::framing::{self, EncodeError, WireEncode};
+use sbf_db::framing::{self, EncodeError};
 use sbf_db::wire::FilterEnvelope;
 use spectral_bloom::PlainCounters;
 
@@ -225,43 +225,32 @@ pub enum Response {
 
 /// Failure classes carried in [`Response::Error`] frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum ErrorCode {
     /// The request frame did not parse.
-    BadFrame,
+    BadFrame = 1,
     /// A frame or embedded structure exceeded the server's size caps.
-    Oversized,
+    Oversized = 2,
     /// The opcode byte is not a known request.
-    UnknownOp,
+    UnknownOp = 3,
     /// A remove would drive a counter below zero; nothing was applied.
-    Underflow,
+    Underflow = 4,
     /// A MERGE envelope disagrees with the server's `(m, k, seed)`.
-    Incompatible,
+    Incompatible = 5,
     /// The server is draining and no longer accepts mutations.
-    Draining,
+    Draining = 6,
     /// A server-side I/O failure (WAL append, fsync): the mutation was NOT
     /// durably logged and must not be treated as acknowledged.
-    Io,
+    Io = 7,
     /// A cluster peer could not be reached: the replica refused or dropped
     /// a replication ship (the mutation is applied and logged locally but
     /// NOT acknowledged — retry once the replica link re-syncs), or a
     /// JOIN_PLAN could not dial its peer node.
-    Unavailable,
+    Unavailable = 8,
 }
 
 impl ErrorCode {
-    fn to_byte(self) -> u8 {
-        match self {
-            ErrorCode::BadFrame => 1,
-            ErrorCode::Oversized => 2,
-            ErrorCode::UnknownOp => 3,
-            ErrorCode::Underflow => 4,
-            ErrorCode::Incompatible => 5,
-            ErrorCode::Draining => 6,
-            ErrorCode::Io => 7,
-            ErrorCode::Unavailable => 8,
-        }
-    }
-
+    /// The code an untrusted byte names, if any.
     fn from_byte(b: u8) -> Option<Self> {
         match b {
             1 => Some(ErrorCode::BadFrame),
@@ -329,20 +318,78 @@ impl From<EncodeError> for ProtoError {
     }
 }
 
-// Request opcodes.
-const OP_PING: u8 = 0x01;
-const OP_INSERT: u8 = 0x02;
-const OP_REMOVE: u8 = 0x03;
-const OP_ESTIMATE: u8 = 0x04;
-const OP_INSERT_BATCH: u8 = 0x05;
-const OP_ESTIMATE_BATCH: u8 = 0x06;
-const OP_MERGE: u8 = 0x07;
-const OP_SNAPSHOT: u8 = 0x08;
-const OP_STATS: u8 = 0x09;
-const OP_SHUTDOWN: u8 = 0x0A;
-const OP_HELLO: u8 = 0x0B;
-const OP_JOIN_PLAN: u8 = 0x0C;
-const OP_JOIN_FILTER: u8 = 0x0D;
+/// Declares the request opcode table. Each row names a [`RequestRef`]
+/// variant and writes its wire byte, its metric label and whether it
+/// mutates the sketch, once. From the rows it generates `Op` (the byte is
+/// its discriminant, so the compiler refuses a byte used twice), the
+/// untrusted byte → `Op` decode, `Op::label`, `Op::is_mutation`,
+/// [`LABELS`] and `RequestRef::op`. All but the decode are exhaustive
+/// matches by variant name, so a row or a variant added on one side alone
+/// does not compile.
+macro_rules! request_ops {
+    ($($variant:ident = $byte:literal, $label:literal, $mutates:literal;)+) => {
+        /// A request opcode; its discriminant is its wire byte.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(u8)]
+        enum Op {
+            $($variant = $byte,)+
+        }
+
+        /// Every request's metric label, in opcode order.
+        pub(crate) const LABELS: &[&str] = &[$($label,)+];
+
+        impl Op {
+            /// Every request opcode, in wire-byte order.
+            #[cfg(test)]
+            const ALL: &[Op] = &[$(Op::$variant,)+];
+
+            /// The opcode an untrusted byte names, if any.
+            fn from_byte(byte: u8) -> Option<Op> {
+                match byte {
+                    $($byte => Some(Op::$variant),)+
+                    _ => None,
+                }
+            }
+
+            fn label(self) -> &'static str {
+                match self {
+                    $(Op::$variant => $label,)+
+                }
+            }
+
+            fn is_mutation(self) -> bool {
+                match self {
+                    $(Op::$variant => $mutates,)+
+                }
+            }
+        }
+
+        impl RequestRef<'_> {
+            fn op(&self) -> Op {
+                match self {
+                    $(RequestRef::$variant { .. } => Op::$variant,)+
+                }
+            }
+        }
+    };
+}
+
+// variant = wire byte, metric label, mutates the sketch;
+request_ops! {
+    Ping = 0x01, "ping", false;
+    Insert = 0x02, "insert", true;
+    Remove = 0x03, "remove", true;
+    Estimate = 0x04, "estimate", false;
+    InsertBatch = 0x05, "insert_batch", true;
+    EstimateBatch = 0x06, "estimate_batch", false;
+    Merge = 0x07, "merge", true;
+    Snapshot = 0x08, "snapshot", false;
+    Stats = 0x09, "stats", false;
+    Shutdown = 0x0A, "shutdown", false;
+    Hello = 0x0B, "hello", false;
+    JoinPlan = 0x0C, "join_plan", false;
+    JoinFilter = 0x0D, "join_filter", false;
+}
 
 // Response opcodes (high bit set).
 const OP_OK: u8 = 0x80;
@@ -514,34 +561,6 @@ impl Request {
     pub fn decode(opcode: u8, payload: &[u8]) -> Result<Self, ProtoError> {
         RequestRef::decode(opcode, payload).map(RequestRef::into_owned)
     }
-
-    /// The metric label for this command (see `metrics.rs`).
-    pub fn op_name(&self) -> &'static str {
-        op_name(self.opcode())
-    }
-
-    /// Whether the command mutates the sketch (refused while draining).
-    pub fn is_mutation(&self) -> bool {
-        is_mutation_op(self.opcode())
-    }
-
-    fn opcode(&self) -> u8 {
-        match self {
-            Request::Ping => OP_PING,
-            Request::Insert { .. } => OP_INSERT,
-            Request::Remove { .. } => OP_REMOVE,
-            Request::Estimate { .. } => OP_ESTIMATE,
-            Request::InsertBatch { .. } => OP_INSERT_BATCH,
-            Request::EstimateBatch { .. } => OP_ESTIMATE_BATCH,
-            Request::Merge { .. } => OP_MERGE,
-            Request::Snapshot => OP_SNAPSHOT,
-            Request::Stats => OP_STATS,
-            Request::Shutdown => OP_SHUTDOWN,
-            Request::Hello { .. } => OP_HELLO,
-            Request::JoinPlan { .. } => OP_JOIN_PLAN,
-            Request::JoinFilter { .. } => OP_JOIN_FILTER,
-        }
-    }
 }
 
 impl<'a> RequestRef<'a> {
@@ -549,45 +568,45 @@ impl<'a> RequestRef<'a> {
     /// consumed and length-checked. Keys, the MERGE envelope and the
     /// JOIN_PLAN peer borrow `payload`.
     pub fn decode(opcode: u8, payload: &'a [u8]) -> Result<Self, ProtoError> {
+        let op = Op::from_byte(opcode).ok_or(ProtoError::UnknownOpcode(opcode))?;
         let mut s = Scan::new(payload);
-        let req = match opcode {
-            OP_PING => RequestRef::Ping,
-            OP_INSERT => RequestRef::Insert {
+        let req = match op {
+            Op::Ping => RequestRef::Ping,
+            Op::Insert => RequestRef::Insert {
                 count: s.u64()?,
                 key: s.rest(),
             },
-            OP_REMOVE => RequestRef::Remove {
+            Op::Remove => RequestRef::Remove {
                 count: s.u64()?,
                 key: s.rest(),
             },
-            OP_ESTIMATE => RequestRef::Estimate { key: s.rest() },
-            OP_INSERT_BATCH => RequestRef::InsertBatch {
+            Op::Estimate => RequestRef::Estimate { key: s.rest() },
+            Op::InsertBatch => RequestRef::InsertBatch {
                 keys: s.key_batch()?,
             },
-            OP_ESTIMATE_BATCH => RequestRef::EstimateBatch {
+            Op::EstimateBatch => RequestRef::EstimateBatch {
                 keys: s.key_batch()?,
             },
-            OP_MERGE => RequestRef::Merge { envelope: s.rest() },
-            OP_SNAPSHOT => RequestRef::Snapshot,
-            OP_STATS => RequestRef::Stats,
-            OP_SHUTDOWN => RequestRef::Shutdown,
-            OP_HELLO => RequestRef::Hello {
+            Op::Merge => RequestRef::Merge { envelope: s.rest() },
+            Op::Snapshot => RequestRef::Snapshot,
+            Op::Stats => RequestRef::Stats,
+            Op::Shutdown => RequestRef::Shutdown,
+            Op::Hello => RequestRef::Hello {
                 m: s.u64()?,
                 k: s.u64()?,
                 seed: s.u64()?,
             },
-            OP_JOIN_PLAN => RequestRef::JoinPlan {
+            Op::JoinPlan => RequestRef::JoinPlan {
                 threshold: s.u64()?,
                 peer: std::str::from_utf8(s.lstring()?)
                     .map_err(|_| ProtoError::Malformed("join peer address is not UTF-8"))?,
                 keys: s.key_batch()?,
             },
-            OP_JOIN_FILTER => RequestRef::JoinFilter {
+            Op::JoinFilter => RequestRef::JoinFilter {
                 m: s.u64()?,
                 k: s.u64()?,
                 seed: s.u64()?,
             },
-            other => return Err(ProtoError::UnknownOpcode(other)),
         };
         s.finish()?;
         Ok(req)
@@ -656,7 +675,7 @@ impl<'a> RequestRef<'a> {
             RequestRef::Hello { .. } | RequestRef::JoinFilter { .. } => 24,
             RequestRef::JoinPlan { peer, keys, .. } => 8 + 4 + peer.len() + key_batch_len(keys),
         };
-        put_frame(out, self.opcode(), payload_len, |p| {
+        put_frame(out, self.op() as u8, payload_len, |p| {
             match self {
                 RequestRef::Ping
                 | RequestRef::Snapshot
@@ -689,62 +708,20 @@ impl<'a> RequestRef<'a> {
     }
 
     /// The metric label for this command (see `metrics.rs`).
-    pub fn op_name(&self) -> &'static str {
-        op_name(self.opcode())
+    pub fn label(&self) -> &'static str {
+        self.op().label()
     }
 
-    /// Whether the command mutates the sketch (refused while draining).
+    /// Whether the command mutates the sketch (refused while draining,
+    /// and the only records recovery replays).
     pub fn is_mutation(&self) -> bool {
-        is_mutation_op(self.opcode())
-    }
-
-    fn opcode(&self) -> u8 {
-        match self {
-            RequestRef::Ping => OP_PING,
-            RequestRef::Insert { .. } => OP_INSERT,
-            RequestRef::Remove { .. } => OP_REMOVE,
-            RequestRef::Estimate { .. } => OP_ESTIMATE,
-            RequestRef::InsertBatch { .. } => OP_INSERT_BATCH,
-            RequestRef::EstimateBatch { .. } => OP_ESTIMATE_BATCH,
-            RequestRef::Merge { .. } => OP_MERGE,
-            RequestRef::Snapshot => OP_SNAPSHOT,
-            RequestRef::Stats => OP_STATS,
-            RequestRef::Shutdown => OP_SHUTDOWN,
-            RequestRef::Hello { .. } => OP_HELLO,
-            RequestRef::JoinPlan { .. } => OP_JOIN_PLAN,
-            RequestRef::JoinFilter { .. } => OP_JOIN_FILTER,
-        }
+        self.op().is_mutation()
     }
 }
 
 /// Borrows owned keys as the slices a [`RequestRef`] batch holds.
 pub(crate) fn borrow_keys<K: AsRef<[u8]>>(keys: &[K]) -> Vec<&[u8]> {
     keys.iter().map(AsRef::as_ref).collect()
-}
-
-/// The metric label for a request opcode, as `Request::opcode` or
-/// `RequestRef::opcode` returns it (so the last arm is JOIN_FILTER).
-fn op_name(opcode: u8) -> &'static str {
-    match opcode {
-        OP_PING => "ping",
-        OP_INSERT => "insert",
-        OP_REMOVE => "remove",
-        OP_ESTIMATE => "estimate",
-        OP_INSERT_BATCH => "insert_batch",
-        OP_ESTIMATE_BATCH => "estimate_batch",
-        OP_MERGE => "merge",
-        OP_SNAPSHOT => "snapshot",
-        OP_STATS => "stats",
-        OP_SHUTDOWN => "shutdown",
-        OP_HELLO => "hello",
-        OP_JOIN_PLAN => "join_plan",
-        _ => "join_filter",
-    }
-}
-
-/// Whether a request opcode mutates the sketch.
-fn is_mutation_op(opcode: u8) -> bool {
-    matches!(opcode, OP_INSERT | OP_REMOVE | OP_INSERT_BATCH | OP_MERGE)
 }
 
 /// The 24-byte `(m, k, seed)` payload shared by HELLO and JOIN_FILTER.
@@ -807,7 +784,7 @@ impl Response {
                 Response::Frame(bytes) => p.extend_from_slice(bytes),
                 Response::Text(text) => p.extend_from_slice(text.as_bytes()),
                 Response::Error { code, message } => {
-                    p.push(code.to_byte());
+                    p.push(*code as u8);
                     p.extend_from_slice(message.as_bytes());
                 }
             }
@@ -854,24 +831,6 @@ impl Response {
         };
         s.finish()?;
         Ok(resp)
-    }
-}
-
-impl WireEncode for Request {
-    /// [`WireEncode`] arm of [`Request::encode`]: same bytes, shared error
-    /// type, so generic framing code can treat requests, WAL records and
-    /// filter envelopes uniformly.
-    fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), EncodeError> {
-        self.view()
-            .encode_into(out)
-            .map_err(|_| EncodeError::Oversized)
-    }
-}
-
-impl WireEncode for Response {
-    /// [`WireEncode`] arm of [`Response::encode_into`].
-    fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), EncodeError> {
-        Response::encode_into(self, out).map_err(|_| EncodeError::Oversized)
     }
 }
 
@@ -1021,14 +980,14 @@ mod tests {
     #[test]
     fn truncated_payloads_are_rejected() {
         assert_eq!(
-            Request::decode(OP_INSERT, &[1, 2, 3]),
+            Request::decode(Op::Insert as u8, &[1, 2, 3]),
             Err(ProtoError::Truncated)
         );
         // Batch claiming 100 keys with 4 bytes of payload.
         let mut p = Vec::new();
         p.extend_from_slice(&100u32.to_le_bytes());
         assert_eq!(
-            Request::decode(OP_INSERT_BATCH, &p),
+            Request::decode(Op::InsertBatch as u8, &p),
             Err(ProtoError::Truncated)
         );
         // Values response claiming more entries than bytes.
@@ -1051,45 +1010,162 @@ mod tests {
 
     #[test]
     fn mutation_classification() {
-        assert!(Request::Insert {
+        let mutates = |req: Request| req.view().is_mutation();
+        assert!(mutates(Request::Insert {
             count: 1,
             key: vec![]
-        }
-        .is_mutation());
-        assert!(Request::Merge { envelope: vec![] }.is_mutation());
-        assert!(!Request::Estimate { key: vec![] }.is_mutation());
-        assert!(!Request::Snapshot.is_mutation());
-        assert!(!Request::Shutdown.is_mutation());
+        }));
+        assert!(mutates(Request::Merge { envelope: vec![] }));
+        assert!(!mutates(Request::Estimate { key: vec![] }));
+        assert!(!mutates(Request::Snapshot));
+        assert!(!mutates(Request::Shutdown));
         // Cluster commands never mutate: HELLO and JOIN_FILTER are pure
         // reads, and JOIN_PLAN only multiplies private copies.
-        assert!(!Request::Hello {
+        assert!(!mutates(Request::Hello {
             m: 1,
             k: 1,
             seed: 0
-        }
-        .is_mutation());
-        assert!(!Request::JoinPlan {
+        }));
+        assert!(!mutates(Request::JoinPlan {
             peer: String::new(),
             threshold: 0,
             keys: vec![]
-        }
-        .is_mutation());
-        assert!(!Request::JoinFilter {
+        }));
+        assert!(!mutates(Request::JoinFilter {
             m: 1,
             k: 1,
             seed: 0
+        }));
+    }
+
+    /// One request per opcode, by an exhaustive match: a new `Op` fails to
+    /// compile here until it has a sample.
+    fn sample(op: Op) -> RequestRef<'static> {
+        const KEYS: &[&[u8]] = &[b"a", b"", b"ccc"];
+        match op {
+            Op::Ping => RequestRef::Ping,
+            Op::Insert => RequestRef::Insert {
+                count: 3,
+                key: b"k",
+            },
+            Op::Remove => RequestRef::Remove { count: 1, key: b"" },
+            Op::Estimate => RequestRef::Estimate { key: b"\x00\xff" },
+            Op::InsertBatch => RequestRef::InsertBatch {
+                keys: KEYS.to_vec(),
+            },
+            Op::EstimateBatch => RequestRef::EstimateBatch {
+                keys: KEYS.to_vec(),
+            },
+            Op::Merge => RequestRef::Merge {
+                envelope: &[1, 2, 3],
+            },
+            Op::Snapshot => RequestRef::Snapshot,
+            Op::Stats => RequestRef::Stats,
+            Op::Shutdown => RequestRef::Shutdown,
+            Op::Hello => RequestRef::Hello {
+                m: 64,
+                k: 3,
+                seed: 7,
+            },
+            Op::JoinPlan => RequestRef::JoinPlan {
+                peer: "127.0.0.1:7071",
+                threshold: 2,
+                keys: KEYS.to_vec(),
+            },
+            Op::JoinFilter => RequestRef::JoinFilter {
+                m: 64,
+                k: 3,
+                seed: u64::MAX,
+            },
         }
-        .is_mutation());
     }
 
     #[test]
-    fn wire_encode_trait_matches_inherent_encode() {
-        let req = Request::InsertBatch {
-            keys: vec![b"a".to_vec(), b"bb".to_vec()],
-        };
-        assert_eq!(req.encode_vec().unwrap(), req.encode().unwrap());
-        let resp = Response::Values(vec![1, 2, 3]);
-        assert_eq!(resp.encode_vec().unwrap(), resp.encode().unwrap());
+    fn every_opcode_roundtrips_through_the_codec() {
+        for &op in Op::ALL {
+            let req = sample(op);
+            assert_eq!(req.op(), op);
+            let bytes = req.encode().expect("encode");
+            assert_eq!(bytes[4], op as u8, "{op:?} encodes under its own byte");
+            let back = RequestRef::decode(bytes[4], &bytes[5..]).expect("decode");
+            assert_eq!(back.op(), op);
+            assert_eq!(back, req);
+        }
+    }
+
+    /// DESIGN.md §4f, the section that documents the protocol.
+    fn design_4f() -> &'static str {
+        let design = include_str!("../../../DESIGN.md");
+        let start = design.find("\n## 4f.").expect("DESIGN.md has a §4f");
+        let section = &design[start + 1..];
+        let end = section.find("\n## ").unwrap_or(section.len());
+        &section[..end]
+    }
+
+    /// Every `0xNN NAME` pair in `text`.
+    fn opcode_pairs(text: &str) -> Vec<(u8, String)> {
+        let words: Vec<&str> = text.split_whitespace().collect();
+        words
+            .windows(2)
+            .filter_map(|w| {
+                let byte = u8::from_str_radix(w[0].strip_prefix("0x")?, 16).ok()?;
+                let name = w[1];
+                let is_name = name.chars().all(|c| c.is_ascii_uppercase() || c == '_');
+                is_name.then(|| (byte, name.to_string()))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn design_4f_documents_exactly_the_protocol() {
+        let section = design_4f();
+        let (requests, responses): (Vec<_>, Vec<_>) = opcode_pairs(section)
+            .into_iter()
+            .partition(|&(byte, _)| byte < 0x80);
+
+        let table: Vec<(u8, String)> = Op::ALL
+            .iter()
+            .map(|&op| (op as u8, op.label().to_ascii_uppercase()))
+            .collect();
+        assert_eq!(requests, table, "§4f's request opcodes");
+
+        let response_ops = [
+            (OP_OK, "OK"),
+            (OP_VALUE, "VALUE"),
+            (OP_VALUES, "VALUES"),
+            (OP_FRAME, "FRAME"),
+            (OP_TEXT, "TEXT"),
+            (OP_ERROR, "ERROR"),
+        ];
+        let response_ops: Vec<(u8, String)> = response_ops
+            .iter()
+            .map(|&(byte, name)| (byte, name.to_string()))
+            .collect();
+        assert_eq!(responses, response_ops, "§4f's response opcodes");
+
+        // "Error codes: A, B (why), C." — the names outside parentheses,
+        // up to the first full stop outside them.
+        let list = &section
+            [section.find("Error codes:").expect("§4f lists error codes") + "Error codes:".len()..];
+        let mut depth = 0usize;
+        let mut names = String::new();
+        for c in list.chars() {
+            match c {
+                '(' => depth += 1,
+                ')' => depth -= 1,
+                '.' if depth == 0 => break,
+                _ if depth == 0 => names.push(c),
+                _ => {}
+            }
+        }
+        let documented: Vec<&str> = names.split(',').map(str::trim).collect();
+        let codes: Vec<ErrorCode> = (0..=u8::MAX).filter_map(ErrorCode::from_byte).collect();
+        let defined: Vec<String> = codes.iter().map(|code| format!("{code:?}")).collect();
+        assert_eq!(documented, defined, "§4f's error codes");
+        // The encoder's `as u8` cast and the decoder's match agree.
+        for code in codes {
+            assert_eq!(ErrorCode::from_byte(code as u8), Some(code));
+        }
     }
 
     #[test]

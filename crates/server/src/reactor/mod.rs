@@ -741,7 +741,7 @@ fn run_job(state: &SharedState, items: impl Iterator<Item = FrameItem>, out: &mu
                 // Decoded in place: the request's keys borrow `body`.
                 answered = match RequestRef::decode(opcode, payload) {
                     Ok(req) => {
-                        metrics::on(|m| m.requests_for(req.op_name()).inc());
+                        metrics::on(|m| m.requests_for(req.label()).inc());
                         if matches!(req, RequestRef::Shutdown) {
                             close = true;
                         }

@@ -253,7 +253,7 @@ pub fn inspect(dir: &Path, max_record: usize) -> io::Result<WalInspection> {
             let name = payload
                 .split_first()
                 .and_then(|(&opcode, body)| RequestRef::decode(opcode, body).ok())
-                .map_or("undecodable", |req| req.op_name());
+                .map_or("undecodable", |req| req.label());
             match ops.iter_mut().find(|(n, _)| n == name) {
                 Some((_, c)) => *c += 1,
                 None => ops.push((name.to_string(), 1)),

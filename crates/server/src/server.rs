@@ -694,7 +694,13 @@ impl SharedState {
 
     /// The pure dispatch: applies `req` to the in-memory state. Shared by
     /// the serving path (which adds drain gating + WAL logging around it)
-    /// and WAL replay (which must skip both).
+    /// and WAL replay (which must skip both). The lints keep a `_ =>` arm
+    /// from hiding a new request from dispatch (clippy reports a wildcard
+    /// that covers one variant under the second lint, not the first).
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn apply(&self, req: &RequestRef<'_>) -> Response {
         match req {
             RequestRef::Ping => Response::Ok,

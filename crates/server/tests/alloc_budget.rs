@@ -95,7 +95,7 @@ fn decoding_a_key_batch_allocates_once() {
         assert!(
             allocs <= 1,
             "{}: {allocs} allocations to decode {KEYS} keys",
-            req.op_name()
+            req.view().label()
         );
         // The view borrows the body and round-trips to the request.
         assert_eq!(decoded.into_owned(), req);

@@ -6,6 +6,8 @@
 //! * no acknowledged mutation is lost across a crash — every estimate
 //!   after recovery is ≥ the pre-crash ground truth,
 //! * torn log tails are detected, truncated, and counted,
+//! * recovery replays only mutations, skipping the read-only and control
+//!   records a log may hold,
 //! * stale `snapshot.sbf.tmp` files (a crash between write and rename)
 //!   are swept on boot and never restored from,
 //! * clean shutdown compacts to a snapshot and restarts with exactly the
@@ -26,8 +28,9 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use sbf_db::logrec::append_record;
 use sbf_db::wire::FilterEnvelope;
-use sbf_server::{SbfClient, SbfServer, ServerConfig};
+use sbf_server::{Request, SbfClient, SbfServer, ServerConfig};
 use spectral_bloom::{DefaultFamily, MsSbf, PlainCounters, SketchReader};
 
 const M: usize = 1 << 14;
@@ -202,6 +205,60 @@ fn torn_log_tail_is_truncated_and_survivors_replay() {
     let handle = server.spawn().unwrap();
     let mut client = connect(handle.addr());
     assert_one_sided(&mut client, &truth);
+    drop(client);
+    handle.shutdown_and_join().unwrap();
+}
+
+/// Recovery replays mutations only. A log that also holds read-only and
+/// control records (PING, ESTIMATE, STATS, SNAPSHOT, SHUTDOWN) between its
+/// INSERTs replays just the INSERTs and counts the rest as skipped; a
+/// replayed SHUTDOWN would leave the rebooted node draining.
+#[test]
+fn recovery_replays_only_mutations() {
+    let dir = scratch("nonmutations");
+    let cfg = wal_config(&dir);
+
+    let others = [
+        Request::Ping,
+        Request::Estimate {
+            key: b"key-0".to_vec(),
+        },
+        Request::Stats,
+        Request::Snapshot,
+        Request::Shutdown,
+    ];
+    let mut log = Vec::new();
+    let mut truth = HashMap::new();
+    let mut inserts = 0;
+    for (i, other) in others.iter().enumerate() {
+        for key in 0..8u64 {
+            let key = format!("key-{key}").into_bytes();
+            let count = 1 + i as u64;
+            let insert = Request::Insert {
+                count,
+                key: key.clone(),
+            };
+            append_record(&mut log, &insert.encode().unwrap()[4..]).unwrap();
+            *truth.entry(key).or_insert(0) += count;
+            inserts += 1;
+        }
+        append_record(&mut log, &other.encode().unwrap()[4..]).unwrap();
+    }
+    std::fs::write(dir.join("wal-000000.log"), &log).unwrap();
+
+    let server = SbfServer::bind(cfg).unwrap();
+    let report = server.recovery_report().unwrap();
+    assert_eq!(report.records_replayed, inserts, "only the INSERTs replay");
+    assert_eq!(report.records_skipped, others.len() as u64);
+    assert!(
+        !server.state().draining(),
+        "a logged SHUTDOWN must not drain the recovered node"
+    );
+    let handle = server.spawn().unwrap();
+    let mut client = connect(handle.addr());
+    assert_one_sided(&mut client, &truth);
+    assert_batch_one_sided(&mut client, &truth);
+    client.insert(b"after-recovery", 1).unwrap();
     drop(client);
     handle.shutdown_and_join().unwrap();
 }
